@@ -3,15 +3,19 @@
 A graph on at least two vertices is triangle-distinct when no two vertices
 sit in the same number of triangles.  This package provides:
 
-  graphs        bitset graphs, degrees, triangle degrees, complement,
-                induced subgraphs, cut counting, counter enumeration
+  graphs        bitset graphs, degrees, triangle degrees, the one
+                triangle-distinct predicate (is_triangle_distinct),
+                complement, induced subgraphs, cut counting, counter
+                enumeration
   graph6        strict graph6 encoding and decoding
   identities    exact identities for triangle degrees under complement and
                 composition, with a shared checking path
   construction  a certified recursive construction of a triangle-distinct
                 graph of every order >= 7
   search        exhaustive labeled enumeration up to order 9, canonical
-                forms, the regular-graph probe, resumable checkpoints
+                forms, the regular-graph probe, resumable checkpoints;
+                class sizes by theorem (a triangle-distinct graph has only
+                the trivial automorphism, so each class has n! labelings)
   bounds        exact structural bounds every triangle-distinct graph obeys
   cli           the `trideg` command
 """
@@ -28,11 +32,11 @@ from .graphs import (
     from_edges,
     graph_from_counter,
     induced,
+    is_triangle_distinct,
     mask_members,
     mask_of,
     pair_list,
     path_graph,
-    profile,
     random_graph,
     triangle_degree,
     triangle_degrees,
@@ -58,13 +62,13 @@ from .construction import (
     extend_universal,
 )
 from .search import (
+    CheckpointError,
     ClassEntry,
     SearchInterrupted,
     SearchReport,
     automorphism_count,
     canonical_form,
     enumerate_td,
-    is_triangle_distinct,
     probe_regular,
     regular_window_degrees,
 )

@@ -42,18 +42,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt
 
-from .graphs import Graph, complement, triangle_degrees
+from .graphs import Graph, complement, is_triangle_distinct
+from .graphs import triangle_degrees  # noqa: F401  bench/tracing.py wraps bounds.triangle_degrees
 
 # Largest intermediate power, in bits, the exact ceiling path may build.
 _EXACT_POWER_BITS = 200_000
 
 
-def _is_triangle_distinct(g: Graph) -> bool:
-    return g.n >= 2 and len(set(triangle_degrees(g))) == g.n
-
-
 def _require_td(g: Graph, what: str):
-    if not _is_triangle_distinct(g):
+    if not is_triangle_distinct(g):
         raise ValueError("%s applies to triangle-distinct graphs only" % what)
 
 
@@ -183,7 +180,7 @@ def check_regular_window(g: Graph) -> BoundEntry:
     are not regular, or not triangle-distinct, get a not_applicable entry."""
     n = g.n
     degs = set(g.degrees())
-    if len(degs) != 1 or not _is_triangle_distinct(g):
+    if len(degs) != 1 or not is_triangle_distinct(g):
         why = "not regular" if len(degs) != 1 else "regular but not triangle-distinct"
         return BoundEntry(
             name="regular_window",

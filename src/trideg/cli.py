@@ -10,9 +10,9 @@ Subcommands:
   compose   --g FILE --h FILE [--json FILE]
 
 Exit codes: 0 success, 1 interrupted with a resumable checkpoint, 2 usage or
-domain errors, 3 I/O and parse errors (parse messages carry the input line
-number), 4 a certified claim failed (an identity, a certificate, or a bound
-on a triangle-distinct graph), which always means a bug, not bad input.
+domain errors, 3 I/O and parse errors (unwritable paths, malformed checkpoints;
+messages name the file and line), 4 a certified claim failed (an identity, a
+certificate, a bound, or a search class count), which always means a bug.
 
 Reports go to stdout, progress chatter to stderr.  JSON is serialized with
 sorted keys and a fixed layout, so a report for a given configuration and
@@ -27,16 +27,15 @@ import sys
 from . import bounds as bounds_mod
 from . import graph6
 from .construction import CertificationError, construct
-from .graphs import Graph, random_graph
+from .graphs import is_triangle_distinct, random_graph, triangle_degrees
 from .identities import check_composition, check_graph
 from .search import (
+    CheckpointError,
     SearchInterrupted,
     default_workers,
     enumerate_td,
-    is_triangle_distinct,
     probe_regular,
 )
-from .graphs import triangle_degrees
 
 EXIT_OK = 0
 EXIT_INTERRUPTED = 1
@@ -207,12 +206,18 @@ def _cmd_search(args) -> int:
                 count_automorphisms=args.automorphisms,
                 progress=progress if not args.quiet else None,
             )
+    except CheckpointError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except SearchInterrupted as exc:
         print("search interrupted: %s" % exc, file=sys.stderr)
         return EXIT_INTERRUPTED
+    except CertificationError as exc:
+        print("certification failure: %s" % exc, file=sys.stderr)
+        return EXIT_CLAIM_FAILED
     text = _dump_json(report.to_json_dict(), args.json)
     if not args.json:
         sys.stdout.write(text)
@@ -395,7 +400,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error("--workers must be a positive integer")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unwritable output or checkpoint path; names the file
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

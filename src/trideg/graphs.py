@@ -11,13 +11,14 @@ for a graph of order n when it has no bits at position n or above.
 
 The triangle degree of a vertex v is the number of triangles of the graph that
 contain v, equivalently the number of edges inside the open neighborhood N(v).
-It is computed as (1/2) * sum over u in N(v) of |N(u) & N(v)|, i.e. one
-popcount per neighbor.  A graph on at least two vertices is triangle-distinct
-when all its triangle degrees are pairwise different; that predicate lives in
-search.py, the raw counting lives here.
+triangle_degrees counts the triangles on each edge {u, v} once, as
+|N(u) & N(v)|, and credits both ends; each triangle at v is then seen on both
+of its edges at v, so the sums are halved.  A graph on at least two vertices
+is triangle-distinct when all its triangle degrees are pairwise different.
+is_triangle_distinct is the one test of that property; it counts vertex by
+vertex and stops at the first repeated value, which is what makes the
+exhaustive scan in search.py cheap.
 """
-
-from math import comb
 
 
 def mask_of(vertices) -> int:
@@ -157,16 +158,45 @@ def triangle_degree(g: Graph, v: int) -> int:
 def triangle_degrees(g: Graph) -> tuple[int, ...]:
     """Triangle degree of every vertex, indexed by vertex."""
     rows = g.rows
-    out = []
+    twice = [0] * len(rows)
+    for u, nu in enumerate(rows):
+        s = twice[u]
+        w = nu >> (u + 1) << (u + 1)
+        while w:
+            low = w & -w
+            v = low.bit_length() - 1
+            c = (nu & rows[v]).bit_count()
+            s += c
+            twice[v] += c
+            w ^= low
+        twice[u] = s
+    return tuple(t >> 1 for t in twice)
+
+
+def triangle_distinct_rows(rows) -> bool:
+    """is_triangle_distinct on bare adjacency rows.  Counts the edges inside
+    each N(v) in turn and returns False at the first repeated value."""
+    if len(rows) < 2:
+        return False
+    seen = 0
     for nv in rows:
-        total = 0
+        s = 0
         w = nv
         while w:
             low = w & -w
-            total += (rows[low.bit_length() - 1] & nv).bit_count()
+            s += (rows[low.bit_length() - 1] & nv).bit_count()
             w ^= low
-        out.append(total >> 1)
-    return tuple(out)
+        bit = 1 << (s >> 1)
+        if seen & bit:
+            return False
+        seen |= bit
+    return True
+
+
+def is_triangle_distinct(g: Graph) -> bool:
+    """True iff g has at least two vertices and pairwise distinct triangle
+    degrees."""
+    return triangle_distinct_rows(g.rows)
 
 
 def complement(g: Graph) -> Graph:
@@ -214,31 +244,6 @@ def cut_edges(g: Graph, a: int, b: int) -> int:
         total += (g.rows[low.bit_length() - 1] & b).bit_count()
         w ^= low
     return total
-
-
-class TriangleProfile:
-    """Per-vertex (degree, triangle degree) table with the two flags most
-    callers want: are the triangle degrees pairwise distinct, and is the
-    vertex order already sorted by descending triangle degree."""
-
-    __slots__ = ("pairs", "distinct", "sorted_desc")
-
-    def __init__(self, g: Graph):
-        degs = g.degrees()
-        tris = triangle_degrees(g)
-        pairs = tuple(zip(degs, tris))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "distinct", len(set(tris)) == g.n)
-        object.__setattr__(
-            self, "sorted_desc", all(tris[i] > tris[i + 1] for i in range(g.n - 1))
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TriangleProfile is immutable")
-
-
-def profile(g: Graph) -> TriangleProfile:
-    return TriangleProfile(g)
 
 
 # Deterministic counter <-> labeled graph correspondence.  Bit b of a counter
@@ -319,8 +324,3 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph._trusted(n, rows)
-
-
-def max_triangle_degree(n: int) -> int:
-    """Ceiling comb(n-1, 2): a vertex's neighborhood has at most n-1 vertices."""
-    return comb(max(n - 1, 0), 2)

@@ -13,10 +13,14 @@ Inside a chunk the scan is two cheap filters and one early exit:
 
   * an optional edge-count filter straight off the counter's popcount,
   * an optional d-regular filter on the assembled rows,
-  * triangle degrees computed vertex by vertex into a seen-set bitmask,
-    abandoning the graph at the first repeated value (prune=False disables
-    this exit so the pruned and unpruned paths can be compared on small
-    orders).
+  * graphs.triangle_distinct_rows, the row-level form of the one
+    triangle-distinct predicate, which abandons the graph at the first
+    repeated triangle degree.
+
+Class sizes come from a theorem, not a count.  An automorphism preserves
+triangle degrees, so it fixes every vertex of a triangle-distinct graph: Aut
+is trivial and each class has exactly n! labelings.  Every finished scan
+checks td_labeled == n! * classes and raises CertificationError otherwise.
 
 Orders up to 8 finish in minutes or less.  Order 9 is 2^36 labeled graphs
 and only runs when allow_slow=True; long runs can checkpoint every chunk to
@@ -37,13 +41,20 @@ from math import factorial
 from multiprocessing import Pool
 
 from . import graph6
-from .graphs import Graph, counter_of_graph, graph_from_counter, pair_list, triangle_degrees
+from .construction import CertificationError
+from .graphs import (  # noqa: F401  is_triangle_distinct is re-exported
+    Graph,
+    counter_of_graph,
+    graph_from_counter,
+    is_triangle_distinct,
+    pair_list,
+    triangle_degrees,
+    triangle_distinct_rows,
+)
 
 
-def is_triangle_distinct(g: Graph) -> bool:
-    """True iff g has at least two vertices and pairwise distinct triangle
-    degrees."""
-    return g.n >= 2 and len(set(triangle_degrees(g))) == g.n
+class CheckpointError(ValueError):
+    """A checkpoint file is not a well-formed trideg checkpoint."""
 
 
 class SearchInterrupted(RuntimeError):
@@ -193,10 +204,7 @@ def automorphism_count(g: Graph) -> int:
     if n <= 1:
         return 1
     degs = g.degrees()
-    by_degree = {}
-    for v in range(n):
-        by_degree.setdefault(degs[v], []).append(v)
-    classes = [tuple(vs) for _, vs in sorted(by_degree.items())]
+    classes = _degree_blocks(sorted(range(n), key=degs.__getitem__), degs)
     rows = g.rows
     pairs = pair_list(n)
     count = 0
@@ -225,13 +233,12 @@ def _chunk_size(nbits: int) -> int:
 
 def _scan_chunk(args):
     """Scan counters [start, end); return (visited, candidates, hit counters)."""
-    n, start, end, regular_d, max_edges, prune = args
+    n, start, end, regular_d, max_edges = args
     pairs = pair_list(n)
     bi = tuple(p[0] for p in pairs)
     bj = tuple(p[1] for p in pairs)
     mi = tuple(1 << p[0] for p in pairs)
     mj = tuple(1 << p[1] for p in pairs)
-    vertex_range = range(n)
     hits = []
     candidates = 0
     for x in range(start, end):
@@ -254,37 +261,8 @@ def _scan_chunk(args):
             if not ok:
                 continue
         candidates += 1
-        if prune:
-            seen = 0
-            distinct = True
-            for v in vertex_range:
-                nv = rows[v]
-                s = 0
-                w2 = nv
-                while w2:
-                    low2 = w2 & -w2
-                    s += (rows[low2.bit_length() - 1] & nv).bit_count()
-                    w2 ^= low2
-                bit = 1 << (s >> 1)
-                if seen & bit:
-                    distinct = False
-                    break
-                seen |= bit
-            if distinct:
-                hits.append(x)
-        else:
-            tris = []
-            for v in vertex_range:
-                nv = rows[v]
-                s = 0
-                w2 = nv
-                while w2:
-                    low2 = w2 & -w2
-                    s += (rows[low2.bit_length() - 1] & nv).bit_count()
-                    w2 ^= low2
-                tris.append(s >> 1)
-            if len(set(tris)) == n:
-                hits.append(x)
+        if triangle_distinct_rows(rows):
+            hits.append(x)
     return len(range(start, end)), candidates, hits
 
 
@@ -292,26 +270,15 @@ def _scan_chunk(args):
 # checkpoints (plain text, atomic replace)
 
 _CKPT_MAGIC = "trideg-checkpoint v1"
+_CKPT_COUNTS = ("cursor", "visited", "candidates")
 
 
 def _write_checkpoint(path, config, cursor, visited, candidates, hit_counters):
+    fields = dict(config, cursor=cursor, visited=visited, candidates=candidates)
+    lines = [_CKPT_MAGIC] + ["%s=%d" % kv for kv in fields.items()] + ["hits:"]
     n = config["order"]
-    lines = [
-        _CKPT_MAGIC,
-        "order=%d" % n,
-        "regular=%d" % (-1 if config["regular"] is None else config["regular"]),
-        "max_edges=%d" % (-1 if config["max_edges"] is None else config["max_edges"]),
-        "prune=%d" % (1 if config["prune"] else 0),
-        "range_start=%d" % config["range_start"],
-        "range_end=%d" % config["range_end"],
-        "cursor=%d" % cursor,
-        "visited=%d" % visited,
-        "candidates=%d" % candidates,
-        "hits:",
-    ]
     pairs = pair_list(n)
-    for x in hit_counters:
-        lines.append(graph6.encode(graph_from_counter(n, x, pairs)))
+    lines.extend(graph6.encode(graph_from_counter(n, x, pairs)) for x in hit_counters)
     tmp = "%s.tmp.%d" % (path, os.getpid())
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -319,39 +286,53 @@ def _write_checkpoint(path, config, cursor, visited, candidates, hit_counters):
 
 
 def _read_checkpoint(path, config):
+    """(cursor, visited, candidates, hit counters) from a checkpoint file.
+
+    A malformed file raises CheckpointError naming the file and the field or
+    line; a well-formed one written for another configuration raises a plain
+    ValueError.  Header keys this version does not write are ignored, so
+    checkpoints from versions that recorded more settings still resume.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        lines = fh.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
-        raise ValueError("not a checkpoint file: %s" % path)
+        raise CheckpointError("not a checkpoint file: %s" % path)
+    if "hits:" not in lines:
+        raise CheckpointError("checkpoint %s has no 'hits:' line" % path)
+    end = lines.index("hits:")
     kv = {}
-    idx = 1
-    while idx < len(lines) and lines[idx] != "hits:":
-        key, _, value = lines[idx].partition("=")
-        kv[key] = int(value)
-        idx += 1
-    if idx >= len(lines):
-        raise ValueError("checkpoint missing hits section: %s" % path)
-    expect = {
-        "order": config["order"],
-        "regular": -1 if config["regular"] is None else config["regular"],
-        "max_edges": -1 if config["max_edges"] is None else config["max_edges"],
-        "prune": 1 if config["prune"] else 0,
-        "range_start": config["range_start"],
-        "range_end": config["range_end"],
-    }
-    for key, want in expect.items():
-        if kv.get(key) != want:
+    for lineno, line in enumerate(lines[1:end], start=2):
+        key, _, value = line.partition("=")
+        try:
+            kv[key] = int(value)
+        except ValueError:
+            raise CheckpointError(
+                "checkpoint %s line %d: expected key=integer, got %r" % (path, lineno, line)
+            ) from None
+    missing = [k for k in (*config, *_CKPT_COUNTS) if k not in kv]
+    if missing:
+        raise CheckpointError("checkpoint %s is missing %s" % (path, ", ".join(missing)))
+    for key, want in config.items():
+        if kv[key] != want:
             raise ValueError(
                 "checkpoint %s does not match this run: %s=%s, expected %s"
-                % (path, key, kv.get(key), want)
+                % (path, key, kv[key], want)
             )
+    n = config["order"]
     hits = []
-    for line in lines[idx + 1 :]:
+    for lineno, line in enumerate(lines[end + 1 :], start=end + 2):
         if not line:
             continue
-        g = graph6.decode(line)
-        if g.n != config["order"]:
-            raise ValueError("checkpoint hit of wrong order: %s" % line)
+        try:
+            g = graph6.decode(line)
+        except graph6.Graph6Error as exc:
+            raise CheckpointError(
+                "checkpoint %s line %d: undecodable hit: %s" % (path, lineno, exc)
+            ) from None
+        if g.n != n:
+            raise CheckpointError(
+                "checkpoint %s line %d: hit of order %d, expected %d" % (path, lineno, g.n, n)
+            )
         hits.append(counter_of_graph(g))
     return kv["cursor"], kv["visited"], kv["candidates"], hits
 
@@ -366,7 +347,6 @@ def _enumerate_range(
     regular_only=None,
     max_edges=None,
     workers=None,
-    prune=True,
     checkpoint_path=None,
     chunk_limit=None,
     progress=None,
@@ -377,9 +357,8 @@ def _enumerate_range(
     total = 1 << nbits
     config = {
         "order": n,
-        "regular": regular_only,
-        "max_edges": max_edges,
-        "prune": prune,
+        "regular": -1 if regular_only is None else regular_only,
+        "max_edges": -1 if max_edges is None else max_edges,
         "range_start": 0,
         "range_end": total,
     }
@@ -390,7 +369,7 @@ def _enumerate_range(
         workers = default_workers()
     chunk = _chunk_size(nbits)
     tasks = [
-        (n, s, min(s + chunk, total), regular_only, max_edges, prune)
+        (n, s, min(s + chunk, total), regular_only, max_edges)
         for s in range(cursor, total, chunk)
     ]
     done_chunks = 0
@@ -442,26 +421,38 @@ def _enumerate_range(
     return visited, candidates, hits
 
 
-def _classes_from_hits(n, hit_counters, count_automorphisms):
+def _report(n, visited, candidates, hits, count_automorphisms, **fields):
+    """The SearchReport of a finished scan, one class per canonical form.
+
+    A triangle-distinct graph has only the trivial automorphism, so each
+    class has aut_size 1 and exactly n! labelings among the hits; a scan
+    whose hit count says otherwise is wrong and raises CertificationError.
+    """
     pairs = pair_list(n)
     by_canon = {}
-    for x in hit_counters:
+    for x in hits:
         g = graph_from_counter(n, x, pairs)
-        canon = canonical_form(g)
-        if canon not in by_canon:
-            by_canon[canon] = g
-    entries = []
-    for canon in sorted(by_canon):
-        g = by_canon[canon]
-        tri = tuple(sorted(triangle_degrees(g), reverse=True))
-        if count_automorphisms:
-            aut = automorphism_count(g)
-            entries.append(
-                ClassEntry(canon, g.m, tri, aut_size=aut, labeled_count=factorial(n) // aut)
-            )
-        else:
-            entries.append(ClassEntry(canon, g.m, tri))
-    return tuple(entries)
+        by_canon.setdefault(canonical_form(g), g)
+    labelings = factorial(n)
+    aut = {"aut_size": 1, "labeled_count": labelings} if count_automorphisms else {}
+    entries = tuple(
+        ClassEntry(canon, g.m, tuple(sorted(triangle_degrees(g), reverse=True)), **aut)
+        for canon, g in sorted(by_canon.items())
+    )
+    if len(hits) != labelings * len(entries):
+        raise CertificationError(
+            "order %d scan found %d labeled triangle-distinct graphs in %d classes, "
+            "not %d! = %d per class" % (n, len(hits), len(entries), n, labelings)
+        )
+    return SearchReport(
+        order=n,
+        labeled_count=visited,
+        candidates=candidates,
+        td_labeled=len(hits),
+        td_classes=entries,
+        min_edges=min((e.edges for e in entries), default=None),
+        **fields,
+    )
 
 
 def enumerate_td(
@@ -470,7 +461,6 @@ def enumerate_td(
     regular_only: int | None = None,
     max_edges: int | None = None,
     workers: int | None = None,
-    prune: bool = True,
     allow_slow: bool = False,
     checkpoint_path=None,
     count_automorphisms: bool = False,
@@ -500,19 +490,16 @@ def enumerate_td(
         regular_only=regular_only,
         max_edges=max_edges,
         workers=workers,
-        prune=prune,
         checkpoint_path=checkpoint_path,
         chunk_limit=chunk_limit,
         progress=progress,
     )
-    entries = _classes_from_hits(n, hits, count_automorphisms)
-    return SearchReport(
-        order=n,
-        labeled_count=visited,
-        candidates=candidates,
-        td_labeled=len(hits),
-        td_classes=entries,
-        min_edges=min((e.edges for e in entries), default=None),
+    return _report(
+        n,
+        visited,
+        candidates,
+        hits,
+        count_automorphisms,
         regular_only=regular_only,
         max_edges=max_edges,
     )
@@ -560,20 +547,10 @@ def probe_regular(
             n,
             regular_only=d,
             workers=workers,
-            prune=True,
             checkpoint_path=ckpt,
             progress=progress,
         )
         visited += v
         candidates += c
         hits.extend(h)
-    entries = _classes_from_hits(n, hits, count_automorphisms)
-    return SearchReport(
-        order=n,
-        labeled_count=visited,
-        candidates=candidates,
-        td_labeled=len(hits),
-        td_classes=entries,
-        min_edges=min((e.edges for e in entries), default=None),
-        regular_degrees=degrees,
-    )
+    return _report(n, visited, candidates, hits, count_automorphisms, regular_degrees=degrees)

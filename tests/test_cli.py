@@ -4,6 +4,7 @@ import json
 import pytest
 
 import trideg.cli as cli
+import trideg.search as search
 from trideg.bounds import BoundEntry, BoundsReport
 from trideg.construction import CertificationError
 from trideg.graph6 import encode
@@ -248,3 +249,105 @@ def test_json_files_byte_identical(capsys, tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_search_unwritable_checkpoint_is_exit_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "scan.ckpt"
+    code, _, err = run(
+        ["search", "--n", "5", "--workers", "1", "--quiet", "--checkpoint", str(target)], capsys
+    )
+    assert code == 3
+    assert str(target) in err
+
+
+def test_search_unwritable_json_is_exit_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "search.json"
+    code, _, err = run(
+        ["search", "--n", "4", "--workers", "1", "--quiet", "--json", str(target)], capsys
+    )
+    assert code == 3
+    assert str(target) in err
+
+
+def test_construct_unwritable_out_is_exit_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "g.g6"
+    code, out, err = run(["construct", "--n", "7", "--emit", "graph6", "--out", str(target)], capsys)
+    assert code == 3 and out == ""
+    assert str(target) in err
+
+
+def test_check_unwritable_json_is_exit_3(capsys, tmp_path, g7):
+    src = tmp_path / "g.g6"
+    src.write_text(encode(g7.graph) + "\n")
+    target = tmp_path / "missing" / "report.json"
+    code, _, err = run(["check", "--in", str(src), "--json", str(target)], capsys)
+    assert code == 3
+    assert str(target) in err
+
+
+# A checkpoint for `search --n 5`: one chunk of 2^10 counters, nothing scanned.
+_CKPT_HEADER = [
+    "trideg-checkpoint v1",
+    "order=5",
+    "regular=-1",
+    "max_edges=-1",
+    "range_start=0",
+    "range_end=1024",
+    "cursor=0",
+    "visited=0",
+    "candidates=0",
+    "hits:",
+]
+
+
+def _resume(capsys, tmp_path, lines):
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    argv = ["search", "--n", "5", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
+    return (*run(argv, capsys), str(ckpt))
+
+
+def test_checkpoint_resumes_with_old_prune_line(capsys, tmp_path):
+    _, fresh, _ = run(["search", "--n", "5", "--workers", "1", "--quiet"], capsys)
+    code, out, _, _ = _resume(capsys, tmp_path, _CKPT_HEADER[:4] + ["prune=1"] + _CKPT_HEADER[4:])
+    assert code == 0 and out == fresh
+
+
+def test_checkpoint_non_integer_value_is_exit_3(capsys, tmp_path):
+    lines = [ln.replace("cursor=0", "cursor=abc") for ln in _CKPT_HEADER]
+    code, _, err, path = _resume(capsys, tmp_path, lines)
+    assert code == 3
+    assert path in err and "line 7" in err and "cursor=abc" in err
+
+
+def test_checkpoint_missing_key_is_exit_3(capsys, tmp_path):
+    lines = [ln for ln in _CKPT_HEADER if not ln.startswith("visited=")]
+    code, _, err, path = _resume(capsys, tmp_path, lines)
+    assert code == 3
+    assert path in err and "visited" in err
+
+
+def test_checkpoint_undecodable_hit_is_exit_3(capsys, tmp_path):
+    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D??", "D\x7f!"])
+    assert code == 3
+    assert path in err and "line 12" in err
+
+
+def test_checkpoint_config_mismatch_stays_exit_2(capsys, tmp_path):
+    lines = [ln.replace("max_edges=-1", "max_edges=3") for ln in _CKPT_HEADER]
+    code, _, err, path = _resume(capsys, tmp_path, lines)
+    assert code == 2
+    assert path in err and "max_edges" in err
+
+
+def test_search_miscounted_classes_is_exit_4(capsys, monkeypatch):
+    def one_hit(args):
+        _, start, end, _, _ = args
+        return end - start, end - start, [start]  # one labeling, one class
+
+    monkeypatch.setattr(search, "_scan_chunk", one_hit)
+    with pytest.raises(CertificationError):
+        search.enumerate_td(5, workers=1)
+    code, out, err = run(["search", "--n", "5", "--workers", "1", "--quiet"], capsys)
+    assert code == 4 and out == ""
+    assert "certification" in err

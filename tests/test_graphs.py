@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import all_graphs, random_graphs
+from trideg.construction import construct
 from trideg.graphs import (
     Graph,
     complement,
@@ -19,10 +20,8 @@ from trideg.graphs import (
     induced,
     mask_members,
     mask_of,
-    max_triangle_degree,
     pair_list,
     path_graph,
-    profile,
     random_graph,
     triangle_degree,
     triangle_degrees,
@@ -164,18 +163,14 @@ def test_random_graph_deterministic():
     assert random_graph(random.Random(1), 8, 1.0) == complete_graph(8)
 
 
-def test_max_triangle_degree():
-    for n in range(1, 12):
-        kn = complete_graph(n)
-        assert max_triangle_degree(n) == max(
-            oracles.triangle_list_slow(kn), default=0
-        )
-
-
-def test_profile():
-    p = profile(complete_graph(3))
-    assert p.pairs == ((2, 1), (2, 1), (2, 1))
-    assert not p.distinct
-    assert not p.sorted_desc
-    q = profile(from_edges(2, [(0, 1)]))
-    assert not q.distinct
+def test_triangle_degrees_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(404)
+    graphs = [random_graph(rng, n, rng.uniform(0.1, 0.9)) for n in range(1, 65, 3)]
+    graphs.append(random_graph(rng, 64, 0.5))
+    graphs.append(construct(200).graph)
+    for g in graphs:
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        tri = nx.triangles(h)
+        assert triangle_degrees(g) == tuple(tri[v] for v in range(g.n))

@@ -56,10 +56,16 @@ def test_max_edges_filter():
     assert rep.max_edges == 2
 
 
-def test_prune_equivalence():
-    with_prune = enumerate_td(5, prune=True)
-    without = enumerate_td(5, prune=False)
-    assert report_text(with_prune) == report_text(without)
+def test_is_triangle_distinct_matches_oracle(family40):
+    def oracle(g):
+        return g.n >= 2 and len(set(oracles.triangle_list_slow(g))) == g.n
+
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs += random_graphs(505, 300, 12)
+    graphs += [gc.graph for gc in family40.values()]
+    verdicts = [is_triangle_distinct(g) for g in graphs]
+    assert verdicts == [oracle(g) for g in graphs]
+    assert all(verdicts[-len(family40):])
 
 
 def test_worker_count_does_not_change_report():
