@@ -12,8 +12,9 @@ sit in the same number of triangles.  This package provides:
                 composition, with a shared checking path
   construction  a certified recursive construction of a triangle-distinct
                 graph of every order >= 7
-  search        exhaustive labeled enumeration up to order 9, canonical
-                forms, the regular-graph probe, resumable checkpoints;
+  search        exhaustive labeled enumeration up to order 9 by one-vertex
+                extension, canonical forms, the regular-graph probe,
+                resumable checkpoints;
                 class sizes by theorem (a triangle-distinct graph has only
                 the trivial automorphism, so each class has n! labelings)
   bounds        exact structural bounds every triangle-distinct graph obeys

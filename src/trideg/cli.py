@@ -14,15 +14,17 @@ domain errors, 3 I/O and parse errors (unwritable paths, malformed checkpoints;
 messages name the file and line), 4 a certified claim failed (an identity, a
 certificate, a bound, or a search class count), which always means a bug.
 
-Reports go to stdout, progress chatter to stderr.  JSON is serialized with
-sorted keys and a fixed layout, so a report for a given configuration and
-seed is byte-identical no matter how many workers produced it.
+Reports go to stdout, progress chatter to stderr (search progress at most
+once a second, with rate and ETA).  JSON is serialized with sorted keys and
+a fixed layout, so a report for a given configuration and seed is
+byte-identical no matter how many workers produced it.
 """
 
 import argparse
 import json
 import random
 import sys
+import time
 
 from . import bounds as bounds_mod
 from . import graph6
@@ -72,6 +74,35 @@ def _read_graph6_file(path):
         except graph6.Graph6Error as exc:
             raise graph6.Graph6Error("line %d: %s" % (lineno, exc)) from exc
     return out
+
+
+class _Progress:
+    """The search commands' progress callback: a stderr line at most once a
+    second, and always at the end of a scan.  A probe scans one range
+    per degree, so a cursor that moves backwards starts a new scan; the rate
+    and ETA are measured from a scan's first call, which also makes them
+    right for a resumed scan."""
+
+    def __init__(self, clock=time.monotonic):
+        self.clock = clock
+        self.last = clock()
+        self.first = None  # (time, cursor) of the current scan's first call
+        self.cursor = None
+
+    def __call__(self, cursor, total):
+        now = self.clock()
+        if self.first is None or cursor <= self.cursor:
+            self.first = (now, cursor)
+        self.cursor = cursor
+        if cursor < total and now - self.last < 1.0:
+            return
+        self.last = now
+        line = "scanned %d / %d counters" % (cursor, total)
+        t0, c0 = self.first
+        if now > t0 and cursor > c0:
+            rate = (cursor - c0) / (now - t0)
+            line += ", %.0f counters/s, ETA %.0f s" % (rate, (total - cursor) / rate)
+        print(line, file=sys.stderr, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +214,7 @@ def _cmd_search(args) -> int:
         )
         return EXIT_USAGE
 
-    def progress(cursor, total):
-        print("scanned %d / %d counters" % (cursor, total), file=sys.stderr, flush=True)
-
+    progress = None if args.quiet else _Progress()
     try:
         if args.regular:
             report = probe_regular(
@@ -194,7 +223,7 @@ def _cmd_search(args) -> int:
                 allow_slow=args.long_run,
                 checkpoint_path=args.checkpoint,
                 count_automorphisms=args.automorphisms,
-                progress=progress if not args.quiet else None,
+                progress=progress,
             )
         else:
             report = enumerate_td(
@@ -204,7 +233,7 @@ def _cmd_search(args) -> int:
                 allow_slow=args.long_run,
                 checkpoint_path=args.checkpoint,
                 count_automorphisms=args.automorphisms,
-                progress=progress if not args.quiet else None,
+                progress=progress,
             )
     except CheckpointError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -11,13 +11,13 @@ for a graph of order n when it has no bits at position n or above.
 
 The triangle degree of a vertex v is the number of triangles of the graph that
 contain v, equivalently the number of edges inside the open neighborhood N(v).
-triangle_degrees counts the triangles on each edge {u, v} once, as
-|N(u) & N(v)|, and credits both ends; each triangle at v is then seen on both
-of its edges at v, so the sums are halved.  A graph on at least two vertices
-is triangle-distinct when all its triangle degrees are pairwise different.
-is_triangle_distinct is the one test of that property; it counts vertex by
-vertex and stops at the first repeated value, which is what makes the
-exhaustive scan in search.py cheap.
+triangle_degrees (row form triangle_degrees_rows) counts the triangles on
+each edge {u, v} once, as |N(u) & N(v)|, and credits both ends; each triangle
+at v is then seen on both of its edges at v, so the sums are halved.  A graph
+on at least two vertices is triangle-distinct when all its triangle degrees
+are pairwise different.  is_triangle_distinct is the one test of that
+property; it counts vertex by vertex and stops at the first repeated value,
+so a graph that fails is rejected cheaply.
 """
 
 
@@ -157,7 +157,11 @@ def triangle_degree(g: Graph, v: int) -> int:
 
 def triangle_degrees(g: Graph) -> tuple[int, ...]:
     """Triangle degree of every vertex, indexed by vertex."""
-    rows = g.rows
+    return triangle_degrees_rows(g.rows)
+
+
+def triangle_degrees_rows(rows) -> tuple[int, ...]:
+    """triangle_degrees on bare adjacency rows."""
     twice = [0] * len(rows)
     for u, nu in enumerate(rows):
         s = twice[u]
@@ -173,9 +177,11 @@ def triangle_degrees(g: Graph) -> tuple[int, ...]:
     return tuple(t >> 1 for t in twice)
 
 
-def triangle_distinct_rows(rows) -> bool:
-    """is_triangle_distinct on bare adjacency rows.  Counts the edges inside
-    each N(v) in turn and returns False at the first repeated value."""
+def is_triangle_distinct(g: Graph) -> bool:
+    """True iff g has at least two vertices and pairwise distinct triangle
+    degrees.  Counts the edges inside each N(v) in turn and returns False at
+    the first repeated value."""
+    rows = g.rows
     if len(rows) < 2:
         return False
     seen = 0
@@ -191,12 +197,6 @@ def triangle_distinct_rows(rows) -> bool:
             return False
         seen |= bit
     return True
-
-
-def is_triangle_distinct(g: Graph) -> bool:
-    """True iff g has at least two vertices and pairwise distinct triangle
-    degrees."""
-    return triangle_distinct_rows(g.rows)
 
 
 def complement(g: Graph) -> Graph:

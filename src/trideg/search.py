@@ -9,18 +9,34 @@ are merged strictly in counter order.  Workers therefore change wall time and
 nothing else: the finished report serializes to identical bytes for any
 worker count.
 
-Inside a chunk the scan is two cheap filters and one early exit:
+Inside a chunk the scan extends one smaller graph at a time.  Bits
+0..n-2 of a counter are the pairs (0, 1..n-1), so a counter is hi * 2^(n-1)
++ lo where hi encodes H = G - 0 on vertices 1..n-1 and lo encodes vertex 0's
+neighbourhood N (bit b is vertex b+1).  Chunks are multiples of 2^(n-1)
+counters, so each one holds, for every H in it, all 2^(n-1) choices of N in
+ascending counter order.  For each H the scan builds its rows and triangle
+degrees t_H once (graphs.triangle_degrees_rows) and then:
 
-  * an optional edge-count filter straight off the counter's popcount,
-  * an optional d-regular filter on the assembled rows,
-  * graphs.triangle_distinct_rows, the row-level form of the one
-    triangle-distinct predicate, which abandons the graph at the first
-    repeated triangle degree.
+  * Triangle degrees of G follow from H: t(v) = t_H(v) + |N & N_H(v)| for v
+    in N, t(v) = t_H(v) otherwise, and t(0) is half the sum of the
+    additions.
+  * Two vertices of H outside N keep their triangle degrees, so two with
+    equal t_H both outside N make G non-distinct.  Only the N that leave at
+    most one vertex of each tie class of t_H outside are tested, ascending;
+    each is kept after a full distinctness check of all n triangle degrees.
+  * candidates needs no walk: 2^(n-1) per H unfiltered and, under an edge
+    cap E, the number of N with |N| <= E - m(H), from a table of binomial
+    prefix sums (H with m(H) > E are skipped).
+  * A d-regular probe has one possible N per H: the vertices of degree d-1
+    in H, valid only when every other vertex of H has degree d and |N| = d.
 
 Class sizes come from a theorem, not a count.  An automorphism preserves
 triangle degrees, so it fixes every vertex of a triangle-distinct graph: Aut
-is trivial and each class has exactly n! labelings.  Every finished scan
-checks td_labeled == n! * classes and raises CertificationError otherwise.
+is trivial and each class has exactly n! labelings.  For the same reason,
+relabeling a hit by descending triangle degree is already a canonical
+labeling: hits are grouped by it (rechecking distinctness from their rows)
+and canonical_form runs once per class.  Every finished scan checks
+td_labeled == n! * classes and raises CertificationError otherwise.
 
 Orders up to 8 finish in minutes or less.  Order 9 is 2^36 labeled graphs
 and only runs when allow_slow=True; long runs can checkpoint every chunk to
@@ -37,7 +53,7 @@ is the same relation as isomorphism, which is all the de-duplication needs.
 import os
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 from multiprocessing import Pool
 
 from . import graph6
@@ -49,7 +65,7 @@ from .graphs import (  # noqa: F401  is_triangle_distinct is re-exported
     is_triangle_distinct,
     pair_list,
     triangle_degrees,
-    triangle_distinct_rows,
+    triangle_degrees_rows,
 )
 
 
@@ -167,6 +183,8 @@ def canonical_form(g: Graph) -> str:
     Minimizes the graph6 body over every vertex ordering whose degree
     sequence reads ascending; within a block of equal degrees all orderings
     are tried, so the worst case (a regular graph) is the full 9! = 362880.
+    Only the smaller blocks' orderings are held in memory; the largest
+    block's are generated one at a time in the innermost loop.
     """
     n = g.n
     if n > 9:
@@ -176,16 +194,20 @@ def canonical_form(g: Graph) -> str:
     degs = g.degrees()
     order0 = sorted(range(n), key=degs.__getitem__)
     blocks = _degree_blocks(order0, degs)
+    big = max(range(len(blocks)), key=lambda b: len(blocks[b]))
     colpairs = tuple((i, j) for j in range(1, n) for i in range(j))
     rows = g.rows
     best = None
-    for assignment in product(*(permutations(b) for b in blocks)):
-        perm = [v for blk in assignment for v in blk]
-        val = 0
-        for i, j in colpairs:
-            val = (val << 1) | ((rows[perm[i]] >> perm[j]) & 1)
-        if best is None or val < best:
-            best = val
+    for rest in product(*(permutations(b) for b in blocks[:big] + blocks[big + 1 :])):
+        head = sum(rest[:big], ())
+        tail = sum(rest[big:], ())
+        for middle in permutations(blocks[big]):
+            perm = head + middle + tail
+            val = 0
+            for i, j in colpairs:
+                val = (val << 1) | ((rows[perm[i]] >> perm[j]) & 1)
+            if best is None or val < best:
+                best = val
     nbits = len(colpairs)
     pad = (-nbits) % 6
     padded = best << pad
@@ -231,39 +253,110 @@ def _chunk_size(nbits: int) -> int:
     return 1 << 24 if nbits > 28 else 1 << 16
 
 
+def _extensions(classes):
+    """Every neighbourhood N of vertex 0 that leaves at most one vertex of
+    each class outside, ascending.  classes are disjoint vertex masks whose
+    union is every vertex of H; a singleton class leaves its vertex free."""
+    out = [0]
+    for cls in classes:
+        options = [cls]
+        w = cls
+        while w:
+            low = w & -w
+            options.append(cls ^ low)
+            w ^= low
+        out = [x | o for x in out for o in options]
+    out.sort()
+    return out
+
+
+def _extends_td(rows, t_h, nbhd):
+    """Whether H plus vertex 0 joined to nbhd is triangle-distinct.
+
+    rows are H's adjacency rows on vertices 1..n-1 (row 0 empty) and t_h its
+    triangle degrees.  Joining vertex 0 to nbhd adds |nbhd & N_H(v)| to the
+    triangle degree of each v in nbhd, leaves the others alone, and gives
+    vertex 0 the edges inside nbhd, which is half the sum of the additions.
+    """
+    seen = 0
+    twice0 = 0
+    for v in range(1, len(rows)):
+        t = t_h[v]
+        if nbhd >> v & 1:
+            c = (nbhd & rows[v]).bit_count()
+            twice0 += c
+            t += c
+        bit = 1 << t
+        if seen & bit:
+            return False
+        seen |= bit
+    return not seen & (1 << (twice0 >> 1))
+
+
 def _scan_chunk(args):
-    """Scan counters [start, end); return (visited, candidates, hit counters)."""
+    """Scan counters [start, end); return (visited, candidates, hit counters).
+
+    The range must be aligned to 2^(n-1) counters, one block per graph
+    H = G - 0 (see the module docstring); an unaligned one raises ValueError.
+    """
     n, start, end, regular_d, max_edges = args
-    pairs = pair_list(n)
+    k = n - 1
+    if start % (1 << k) or end % (1 << k):
+        raise ValueError(
+            "scan range [%d, %d) is not aligned to 2^%d counters" % (start, end, k)
+        )
+    pairs = pair_list(n)[k:]  # H's pairs, in G's labels: hi bit b is pairs[b]
     bi = tuple(p[0] for p in pairs)
     bj = tuple(p[1] for p in pairs)
     mi = tuple(1 << p[0] for p in pairs)
     mj = tuple(1 << p[1] for p in pairs)
+    # with_room[s]: how many N have at most s vertices
+    with_room = [sum(comb(k, i) for i in range(s + 1)) for s in range(k + 1)]
+    extensions = {}  # tie partition of H's triangle degrees -> _extensions
     hits = []
     candidates = 0
-    for x in range(start, end):
-        if max_edges is not None and x.bit_count() > max_edges:
-            continue
+    for hi in range(start >> k, end >> k):
         rows = [0] * n
-        w = x
+        w = hi
         while w:
             low = w & -w
             b = low.bit_length() - 1
             rows[bi[b]] |= mj[b]
             rows[bj[b]] |= mi[b]
             w ^= low
+        room = k if max_edges is None else min(k, max_edges - hi.bit_count())
+        if room < 0:
+            continue
+        base = hi << k
         if regular_d is not None:
-            ok = True
-            for row in rows:
-                if row.bit_count() != regular_d:
-                    ok = False
+            # G is d-regular iff N is exactly H's vertices of degree d - 1,
+            # every other vertex of H has degree d, and |N| = d.
+            nbhd = 0
+            for v in range(1, n):
+                deg = rows[v].bit_count()
+                if deg == regular_d - 1:
+                    nbhd |= 1 << v
+                elif deg != regular_d:
                     break
-            if not ok:
-                continue
-        candidates += 1
-        if triangle_distinct_rows(rows):
-            hits.append(x)
-    return len(range(start, end)), candidates, hits
+            else:
+                if nbhd.bit_count() == regular_d <= room:
+                    candidates += 1
+                    if _extends_td(rows, triangle_degrees_rows(rows), nbhd):
+                        hits.append(base | nbhd >> 1)
+            continue
+        candidates += with_room[room]
+        t_h = triangle_degrees_rows(rows)
+        classes = {}
+        for v in range(1, n):
+            classes[t_h[v]] = classes.get(t_h[v], 0) | 1 << v
+        key = tuple(classes.values())
+        todo = extensions.get(key)
+        if todo is None:
+            todo = extensions[key] = _extensions(key)
+        for nbhd in todo:
+            if nbhd.bit_count() <= room and _extends_td(rows, t_h, nbhd):
+                hits.append(base | nbhd >> 1)
+    return end - start, candidates, hits
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +366,10 @@ _CKPT_MAGIC = "trideg-checkpoint v1"
 _CKPT_COUNTS = ("cursor", "visited", "candidates")
 
 
-def _write_checkpoint(path, config, cursor, visited, candidates, hit_counters):
+def _write_checkpoint(path, config, cursor, visited, candidates, hit_lines):
+    """Replace the checkpoint file; hit_lines are the hits' graph6 strings."""
     fields = dict(config, cursor=cursor, visited=visited, candidates=candidates)
-    lines = [_CKPT_MAGIC] + ["%s=%d" % kv for kv in fields.items()] + ["hits:"]
-    n = config["order"]
-    pairs = pair_list(n)
-    lines.extend(graph6.encode(graph_from_counter(n, x, pairs)) for x in hit_counters)
+    lines = [_CKPT_MAGIC] + ["%s=%d" % kv for kv in fields.items()] + ["hits:"] + hit_lines
     tmp = "%s.tmp.%d" % (path, os.getpid())
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -286,12 +377,15 @@ def _write_checkpoint(path, config, cursor, visited, candidates, hit_counters):
 
 
 def _read_checkpoint(path, config):
-    """(cursor, visited, candidates, hit counters) from a checkpoint file.
+    """(cursor, visited, candidates, hit counters, hit graph6 lines) from a
+    checkpoint file.
 
     A malformed file raises CheckpointError naming the file and the field or
-    line; a well-formed one written for another configuration raises a plain
-    ValueError.  Header keys this version does not write are ignored, so
-    checkpoints from versions that recorded more settings still resume.
+    line; so does a cursor off the chunk grid, or a visited count that is not
+    the counters below the cursor.  A well-formed one written for another
+    configuration raises a plain ValueError.  Header keys this version does
+    not write are ignored, so checkpoints from versions that recorded more
+    settings still resume.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -319,7 +413,19 @@ def _read_checkpoint(path, config):
                 % (path, key, kv[key], want)
             )
     n = config["order"]
-    hits = []
+    first, last, cursor = config["range_start"], config["range_end"], kv["cursor"]
+    chunk = _chunk_size(n * (n - 1) // 2)
+    if cursor != last and not (first <= cursor < last and (cursor - first) % chunk == 0):
+        raise CheckpointError(
+            "checkpoint %s: cursor=%d is not a chunk boundary of [%d, %d)"
+            % (path, cursor, first, last)
+        )
+    if kv["visited"] != cursor - first:
+        raise CheckpointError(
+            "checkpoint %s: visited=%d, but the cursor says %d counters were scanned"
+            % (path, kv["visited"], cursor - first)
+        )
+    hits, hit_lines = [], []
     for lineno, line in enumerate(lines[end + 1 :], start=end + 2):
         if not line:
             continue
@@ -334,7 +440,8 @@ def _read_checkpoint(path, config):
                 "checkpoint %s line %d: hit of order %d, expected %d" % (path, lineno, g.n, n)
             )
         hits.append(counter_of_graph(g))
-    return kv["cursor"], kv["visited"], kv["candidates"], hits
+        hit_lines.append(graph6.encode(g))
+    return cursor, kv["visited"], kv["candidates"], hits, hit_lines
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +469,13 @@ def _enumerate_range(
         "range_start": 0,
         "range_end": total,
     }
-    cursor, visited, candidates, hits = 0, 0, 0, []
+    cursor, visited, candidates, hits, hit_lines = 0, 0, 0, [], []
     if checkpoint_path and os.path.exists(checkpoint_path):
-        cursor, visited, candidates, hits = _read_checkpoint(checkpoint_path, config)
+        cursor, visited, candidates, hits, hit_lines = _read_checkpoint(checkpoint_path, config)
     if workers is None:
         workers = default_workers()
     chunk = _chunk_size(nbits)
+    pairs = pair_list(n)
     tasks = [
         (n, s, min(s + chunk, total), regular_only, max_edges)
         for s in range(cursor, total, chunk)
@@ -382,13 +490,14 @@ def _enumerate_range(
         cursor = task_end
         done_chunks += 1
         if checkpoint_path:
-            _write_checkpoint(checkpoint_path, config, cursor, visited, candidates, hits)
+            hit_lines.extend(graph6.encode(graph_from_counter(n, x, pairs)) for x in result[2])
+            _write_checkpoint(checkpoint_path, config, cursor, visited, candidates, hit_lines)
         if progress:
             progress(cursor, total)
 
     def interrupted(reason):
         if checkpoint_path:
-            _write_checkpoint(checkpoint_path, config, cursor, visited, candidates, hits)
+            _write_checkpoint(checkpoint_path, config, cursor, visited, candidates, hit_lines)
         return SearchInterrupted(
             "%s at counter %d of %d%s"
             % (
@@ -421,18 +530,49 @@ def _enumerate_range(
     return visited, candidates, hits
 
 
+def _class_key(g: Graph) -> int:
+    """g's adjacency matrix with each vertex named by its triangle degree,
+    packed into one int: row t (the vertex of triangle degree t) sits at bit
+    offset t * C(n, 2), and its bit u is the neighbour of triangle degree u.
+
+    This is g relabeled by triangle degree.  A triangle-distinct graph has
+    only one such relabeling, so isomorphic hits get equal keys and the key
+    identifies the class.  Distinctness is rechecked here from the rows; a
+    hit that fails raises CertificationError.
+    """
+    t = triangle_degrees_rows(g.rows)
+    if g.n < 2 or len(set(t)) != g.n:
+        raise CertificationError(
+            "scan hit %s is not triangle-distinct: triangle degrees %s"
+            % (graph6.encode(g), list(t))
+        )
+    width = g.n * (g.n - 1) // 2  # exceeds every triangle degree
+    name = [1 << x for x in t]
+    key = 0
+    for v, nv in enumerate(g.rows):
+        row = 0
+        while nv:
+            low = nv & -nv
+            row |= name[low.bit_length() - 1]
+            nv ^= low
+        key |= row << (t[v] * width)
+    return key
+
+
 def _report(n, visited, candidates, hits, count_automorphisms, **fields):
     """The SearchReport of a finished scan, one class per canonical form.
 
+    Hits are grouped by _class_key, and canonical_form runs once per group.
     A triangle-distinct graph has only the trivial automorphism, so each
     class has aut_size 1 and exactly n! labelings among the hits; a scan
     whose hit count says otherwise is wrong and raises CertificationError.
     """
     pairs = pair_list(n)
-    by_canon = {}
+    by_key = {}
     for x in hits:
         g = graph_from_counter(n, x, pairs)
-        by_canon.setdefault(canonical_form(g), g)
+        by_key.setdefault(_class_key(g), g)
+    by_canon = {canonical_form(g): g for g in by_key.values()}
     labelings = factorial(n)
     aut = {"aut_size": 1, "labeled_count": labelings} if count_automorphisms else {}
     entries = tuple(

@@ -11,7 +11,7 @@ import decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from trideg.graphs import Graph
+from trideg.graphs import Graph, is_triangle_distinct, pair_list
 
 
 def edge_set(g):
@@ -160,3 +160,42 @@ def power_term_exact(base, i):
     b = decimal.Decimal(base)
     exponent = 1 - decimal.Decimal(1) / (1 << i)
     return ctx.power(b, exponent)
+
+
+def scan_chunk_slow(args):
+    """The counter scan that search._scan_chunk replaced, kept as its oracle:
+    every counter in [start, end) is decoded to rows and tested on its own
+    with the library predicate, which test_is_triangle_distinct_matches_oracle
+    checks against triangle_list_slow.  Returns (visited, candidates, hit
+    counters) like the scan it checks."""
+    n, start, end, regular_d, max_edges = args
+    pairs = pair_list(n)
+    bi = tuple(p[0] for p in pairs)
+    bj = tuple(p[1] for p in pairs)
+    mi = tuple(1 << p[0] for p in pairs)
+    mj = tuple(1 << p[1] for p in pairs)
+    hits = []
+    candidates = 0
+    for x in range(start, end):
+        if max_edges is not None and x.bit_count() > max_edges:
+            continue
+        rows = [0] * n
+        w = x
+        while w:
+            low = w & -w
+            b = low.bit_length() - 1
+            rows[bi[b]] |= mj[b]
+            rows[bj[b]] |= mi[b]
+            w ^= low
+        if regular_d is not None:
+            ok = True
+            for row in rows:
+                if row.bit_count() != regular_d:
+                    ok = False
+                    break
+            if not ok:
+                continue
+        candidates += 1
+        if is_triangle_distinct(Graph._trusted(n, rows)):
+            hits.append(x)
+    return len(range(start, end)), candidates, hits

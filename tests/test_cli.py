@@ -351,3 +351,51 @@ def test_search_miscounted_classes_is_exit_4(capsys, monkeypatch):
     code, out, err = run(["search", "--n", "5", "--workers", "1", "--quiet"], capsys)
     assert code == 4 and out == ""
     assert "certification" in err
+
+
+def test_checkpoint_cursor_off_chunk_grid_is_exit_3(capsys, tmp_path):
+    lines = [ln.replace("cursor=0", "cursor=512") for ln in _CKPT_HEADER]
+    lines = [ln.replace("visited=0", "visited=512") for ln in lines]
+    code, _, err, path = _resume(capsys, tmp_path, lines)
+    assert code == 3
+    assert path in err and "cursor=512" in err
+
+
+def test_checkpoint_visited_off_cursor_is_exit_3(capsys, tmp_path):
+    lines = [ln.replace("visited=0", "visited=7") for ln in _CKPT_HEADER]
+    code, _, err, path = _resume(capsys, tmp_path, lines)
+    assert code == 3
+    assert path in err and "visited=7" in err
+
+
+def test_progress_does_not_change_report_bytes(capsys, tmp_path):
+    argv = ["search", "--n", "6", "--workers", "1"]
+    code, quiet_out, quiet_err = run(argv + ["--quiet"], capsys)
+    assert code == 0 and quiet_err == ""
+    code, loud_out, loud_err = run(argv, capsys)
+    assert code == 0 and loud_out == quiet_out
+    assert loud_err.splitlines()[-1].startswith("scanned 32768 / 32768 counters")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(argv + ["--quiet", "--json", str(a)], capsys)[0] == 0
+    assert run(argv + ["--json", str(b)], capsys)[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_progress_is_rate_limited(capsys):
+    now = [0.0]
+    progress = cli._Progress(clock=lambda: now[0])
+    total = 1 << 20
+    for k in range(1, 257):  # 256 chunks 0.02 s apart, 5.12 s in all
+        now[0] = 0.02 * k
+        progress(k << 12, total)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 6  # one a second, then the final one
+    assert lines[-1].startswith("scanned %d / %d counters, " % (total, total))
+    assert "counters/s, ETA 0 s" in lines[-1]
+    # a probe's next degree starts a new scan at a lower cursor
+    now[0] += 0.02
+    progress(1 << 12, total)
+    now[0] += 2.0
+    progress(1 << 13, total)
+    line = capsys.readouterr().err.strip()
+    assert line == "scanned 8192 / 1048576 counters, 2048 counters/s, ETA 508 s"

@@ -5,10 +5,13 @@ import random
 import pytest
 
 import oracles
+import trideg.search as search
 from conftest import all_graphs, random_graphs
+from trideg.construction import CertificationError
 from trideg.graph6 import decode
 from trideg.graphs import (
     complete_graph,
+    counter_of_graph,
     cycle_graph,
     empty_graph,
     from_edges,
@@ -213,3 +216,68 @@ def test_search_interrupted_is_runtime_error():
     exc = SearchInterrupted("stopped", "/tmp/x", 5, 10)
     assert isinstance(exc, RuntimeError)
     assert exc.cursor == 5 and exc.total == 10
+
+
+def _chunks(n):
+    total = 1 << (n * (n - 1) // 2)
+    chunk = min(search._chunk_size(n * (n - 1) // 2), total)
+    return [(s, s + chunk) for s in range(0, total, chunk)]
+
+
+def test_scan_matches_counter_oracle_small():
+    # every chunk of orders 2..6: unfiltered, every edge cap, every regular
+    # degree, and every regular degree with the caps either side of n*d/2
+    for n in range(2, 7):
+        nbits = n * (n - 1) // 2
+        configs = [(None, None)]
+        configs += [(None, e) for e in range(nbits + 1)]
+        configs += [(d, None) for d in range(n)]
+        configs += [(d, n * d // 2 + c) for d in range(n) for c in (-1, 0)]
+        for d, e in configs:
+            for start, end in _chunks(n):
+                args = (n, start, end, d, e)
+                assert search._scan_chunk(args) == oracles.scan_chunk_slow(args), args
+
+
+def test_scan_matches_counter_oracle_sampled():
+    rng = random.Random(2024)
+    configs = [(7, None, None), (7, None, 9), (7, None, 15)]
+    configs += [(7, d, None) for d in (2, 3, 4)]
+    configs += [(8, None, None)] * 2
+    hits = 0
+    for n, d, e in configs:
+        start, end = rng.choice(_chunks(n))
+        args = (n, start, end, d, e)
+        got = search._scan_chunk(args)
+        assert got == oracles.scan_chunk_slow(args), args
+        hits += len(got[2])
+    assert hits  # the sample reaches chunks that hold witnesses
+
+
+def test_scan_rejects_unaligned_range():
+    for start, end in ((1, 1024), (0, 100), (8, 24)):
+        with pytest.raises(ValueError, match="aligned"):
+            search._scan_chunk((5, start, end, None, None))
+
+
+def test_non_distinct_hit_fails_certification(monkeypatch):
+    def empty_hit(args):
+        _, start, end, _, _ = args
+        return end - start, end - start, [start] if start == 0 else []
+
+    monkeypatch.setattr(search, "_scan_chunk", empty_hit)
+    with pytest.raises(CertificationError, match="not triangle-distinct"):
+        enumerate_td(5, workers=1)
+
+
+def test_missing_labelings_fail_certification(monkeypatch, g7):
+    # one genuine witness labeling is a class with 1 of its 7! labelings
+    x = counter_of_graph(g7.graph)
+
+    def one_labeling(args):
+        _, start, end, _, _ = args
+        return end - start, end - start, [x] if start <= x < end else []
+
+    monkeypatch.setattr(search, "_scan_chunk", one_labeling)
+    with pytest.raises(CertificationError, match="7! = 5040 per class"):
+        enumerate_td(7, workers=1)
