@@ -32,6 +32,13 @@ complement size ebar and c = ebar/n:
   degree_class_bound given e(G) >= C(n,2) - c n: the number of vertices of
                      degree n-k is at most k (4cn)^(1 - 1/2^(k-1))
 
+Every bound reads one private facts value per graph, computed once: the
+triangle-distinct test, degrees and their histogram, the complement rows
+grouped by complement degree, ebar, c and 4cn rounded up, and the term table
+(built on first use).  check_all builds it once and evaluates each named
+bound from it; each public check_* builds its own and calls the same
+function.
+
 Entries report observed value, threshold, and a status of holds / violated /
 not_applicable / indeterminate.  A violated entry on a genuinely
 triangle-distinct graph means the implementation is wrong somewhere, which
@@ -40,6 +47,8 @@ is exactly why the sweep exists.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import comb, isqrt
 
 from .graphs import Graph, complement, is_triangle_distinct
@@ -47,11 +56,6 @@ from .graphs import triangle_degrees  # noqa: F401  bench/tracing.py wraps bound
 
 # Largest intermediate power, in bits, the exact ceiling path may build.
 _EXACT_POWER_BITS = 200_000
-
-
-def _require_td(g: Graph, what: str):
-    if not is_triangle_distinct(g):
-        raise ValueError("%s applies to triangle-distinct graphs only" % what)
 
 
 @dataclass(frozen=True)
@@ -133,54 +137,79 @@ def _term_ceil(base: int, i: int) -> int:
     return f if f ** (1 << i) == x else f + 1
 
 
-def _base_4cn(g: Graph, c: Fraction | None):
-    """(4cn rounded up to an int, the c actually used).  c defaults to
-    ebar/n, making 4cn the integer 4*ebar exactly."""
-    ebar = comb(g.n, 2) - g.m
-    if c is None:
-        c = Fraction(ebar, g.n)
-    four_cn = 4 * c * g.n
-    base = int(four_cn) if four_cn.denominator == 1 else int(four_cn) + 1
-    return base, c
+# ---------------------------------------------------------------------------
+# what every bound reads
+
+
+class _Facts:
+    """What the bounds read about one graph, computed once; the term table
+    is built on first use.  With `what`, a graph that is not
+    triangle-distinct raises ValueError naming it.  c defaults to ebar/n,
+    making 4cn the integer 4*ebar exactly."""
+
+    def __init__(self, g: Graph, what: str | None = None, c: Fraction | None = None):
+        self.td = is_triangle_distinct(g)
+        if what and not self.td:
+            raise ValueError("%s applies to triangle-distinct graphs only" % what)
+        n = self.n = g.n
+        self.m = g.m
+        self.degrees = g.degrees()
+        self.hist = [0] * n  # hist[d]: vertices of degree d
+        for d in self.degrees:
+            self.hist[d] += 1
+        self.comp_classes = [[] for _ in range(n)]  # [j]: complement rows of degree j
+        for row in complement(g).rows:
+            self.comp_classes[row.bit_count()].append(row)
+        self.ebar = comb(n, 2) - g.m
+        # max(n, 1): the empty graph reaches only bounds that never read c
+        self.c = Fraction(self.ebar, max(n, 1)) if c is None else c
+        four_cn = 4 * self.c * n
+        self.base = int(four_cn) if four_cn.denominator == 1 else int(four_cn) + 1
+
+    @cached_property
+    def terms(self) -> list[int]:
+        return [_term_ceil(self.base, i) for i in range(self.n)]
 
 
 # ---------------------------------------------------------------------------
 # degree bounds
 
 
-def check_degree_bounds(g: Graph) -> list[BoundEntry]:
-    """max_degree_lb and min_degree_ub, in squared / cubed exact form."""
-    _require_td(g, "degree bounds")
-    n = g.n
-    degs = g.degrees()
-    dmax = max(degs)
-    dmin = min(degs)
-    lb = BoundEntry(
+def _max_degree_lb(f: _Facts) -> BoundEntry:
+    dmax = max(f.degrees)
+    return BoundEntry(
         name="max_degree_lb",
         observed=dmax * dmax,
-        threshold=2 * n,
+        threshold=2 * f.n,
         relation=">",
-        status="holds" if dmax * dmax > 2 * n else "violated",
+        status="holds" if dmax * dmax > 2 * f.n else "violated",
         note="squared form of max degree > sqrt(2n); max degree is %d" % dmax,
     )
-    cube = 3 * (n - 1 - dmin) ** 3
-    ub = BoundEntry(
+
+
+def _min_degree_ub(f: _Facts) -> BoundEntry:
+    dmin = min(f.degrees)
+    cube = 3 * (f.n - 1 - dmin) ** 3
+    return BoundEntry(
         name="min_degree_ub",
         observed=cube,
-        threshold=2 * n,
+        threshold=2 * f.n,
         relation=">=",
-        status="holds" if cube >= 2 * n else "violated",
+        status="holds" if cube >= 2 * f.n else "violated",
         note="cubed form of min degree <= n - 1 - (2n/3)^(1/3); min degree is %d" % dmin,
     )
-    return [lb, ub]
 
 
-def check_regular_window(g: Graph) -> BoundEntry:
-    """The degree window for regular triangle-distinct graphs; graphs that
-    are not regular, or not triangle-distinct, get a not_applicable entry."""
-    n = g.n
-    degs = set(g.degrees())
-    if len(degs) != 1 or not is_triangle_distinct(g):
+def check_degree_bounds(g: Graph) -> list[BoundEntry]:
+    """max_degree_lb and min_degree_ub, in squared / cubed exact form."""
+    f = _Facts(g, "degree bounds")
+    return [_max_degree_lb(f), _min_degree_ub(f)]
+
+
+def _regular_window(f: _Facts) -> BoundEntry:
+    n = f.n
+    degs = set(f.degrees)
+    if len(degs) != 1 or not f.td:
         why = "not regular" if len(degs) != 1 else "regular but not triangle-distinct"
         return BoundEntry(
             name="regular_window",
@@ -207,19 +236,23 @@ def check_regular_window(g: Graph) -> BoundEntry:
     )
 
 
-def check_edge_lower_bound(g: Graph) -> BoundEntry:
-    """Rationalized cube bound on the edge count plus the per-degree caps."""
-    _require_td(g, "edge lower bound")
-    n = g.n
-    e = g.m
+def check_regular_window(g: Graph) -> BoundEntry:
+    """The degree window for regular triangle-distinct graphs; graphs that
+    are not regular, or not triangle-distinct, get a not_applicable entry."""
+    return _regular_window(_Facts(g))
+
+
+def _edge_lb(f: _Facts) -> BoundEntry:
+    n = f.n
+    e = f.m
     lhs = (6 * e + 12 * n + 8) ** 2
     rhs = 8 * n * (n + 6) ** 2
     cube_ok = lhs > rhs
-    degs = sorted(g.degrees())
     caps = []
     caps_ok = True
+    at_most_d = sum(f.hist[:2])
     for d in range(2, n):
-        at_most_d = sum(1 for x in degs if x <= d)
+        at_most_d += f.hist[d]
         cap = comb(d, 2) + 1
         caps.append({"degree": d, "count": at_most_d, "cap": cap})
         if at_most_d > cap:
@@ -238,23 +271,32 @@ def check_edge_lower_bound(g: Graph) -> BoundEntry:
     )
 
 
+def check_edge_lower_bound(g: Graph) -> BoundEntry:
+    """Rationalized cube bound on the edge count plus the per-degree caps."""
+    return _edge_lb(_Facts(g, "edge lower bound"))
+
+
+def _planarity(f: _Facts) -> BoundEntry:
+    n = f.n
+    threshold = 3 * n - 6
+    exceeds = n >= 3 and f.m > threshold
+    return BoundEntry(
+        name="planarity_edge_excess",
+        observed=f.m,
+        threshold=threshold,
+        relation=">",
+        status="holds" if exceeds else "indeterminate",
+        note="edge count above 3n-6 is a one-sided non-planarity certificate",
+    )
+
+
 def check_planarity_edge_excess(g: Graph) -> BoundEntry:
     """e > 3n - 6 certifies non-planarity; otherwise indeterminate.
 
     The inequality only means anything from n = 3 on; below that every
     graph is planar and the entry stays indeterminate.
     """
-    n = g.n
-    threshold = 3 * n - 6
-    exceeds = n >= 3 and g.m > threshold
-    return BoundEntry(
-        name="planarity_edge_excess",
-        observed=g.m,
-        threshold=threshold,
-        relation=">",
-        status="holds" if exceeds else "indeterminate",
-        note="edge count above 3n-6 is a one-sided non-planarity certificate",
-    )
+    return _planarity(_Facts(g))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +325,6 @@ def _max_common_subset(nbrs, threshold: int, universe: int, best0: int = 0) -> i
     return best
 
 
-def _census_class(g: Graph, gbar: Graph, k: int):
-    return [v for v in range(g.n) if gbar.rows[v].bit_count() == k - 1]
-
-
 def common_neighbor_census(g: Graph, k: int, t: int) -> int:
     """r_t: the maximum number of vertices of complement degree k-1 whose
     complement neighborhoods share at least k-1-t common vertices.
@@ -301,38 +339,19 @@ def common_neighbor_census(g: Graph, k: int, t: int) -> int:
         raise ValueError("k must be in 1..%d, got %d" % (n, k))
     if not 0 <= t <= k - 1:
         raise ValueError("t must be in 0..%d, got %d" % (k - 1, t))
-    _require_td(g, "common-neighbor census")
-    gbar = complement(g)
-    cls = _census_class(g, gbar, k)
-    return _max_common_subset(
-        [gbar.rows[v] for v in cls], k - 1 - t, (1 << n) - 1
-    )
+    f = _Facts(g, "common-neighbor census")
+    return _max_common_subset(f.comp_classes[k - 1], k - 1 - t, (1 << n) - 1)
 
 
-def check_census_bounds(g: Graph, c: Fraction | None = None) -> BoundEntry:
-    """r_t against the rounded-up bound sum for every degree class and every
-    t; the worst (r - bound) pair is reported."""
-    _require_td(g, "census bound")
-    n = g.n
-    gbar = complement(g)
-    base, c = _base_4cn(g, c)
-    full = (1 << n) - 1
-    # terms and prefix sums of the bound, shared across every (k, t)
-    terms = [_term_ceil(base, i) for i in range(n)]
-    prefix = []
-    acc = 0
-    for v in terms:
-        acc += v
-        prefix.append(acc)
+def _census_bound(f: _Facts) -> BoundEntry:
+    full = (1 << f.n) - 1
+    prefix = list(accumulate(f.terms))  # bound sums, shared across every (k, t)
     pairs_checked = 0
-    worst = None  # (slack, k, t, r, bound)
-    violated = False
-    for k in range(1, n + 1):
-        cls = _census_class(g, gbar, k)
-        s = len(cls)
+    worst = None  # (slack, k, t, r, bound); violated iff its slack > 0
+    for k, nbrs in enumerate(f.comp_classes, 1):
+        s = len(nbrs)
         if s == 0:
             continue
-        nbrs = [gbar.rows[v] for v in cls]
         r_prev = 0
         for t in range(k):
             if s == 1:
@@ -347,9 +366,7 @@ def check_census_bounds(g: Graph, c: Fraction | None = None) -> BoundEntry:
             slack = r - bound
             if worst is None or slack > worst[0]:
                 worst = (slack, k, t, r, bound)
-            if r > bound:
-                violated = True
-    extra = {"c": c, "four_cn_ceil": base, "pairs_checked": pairs_checked}
+    extra = {"c": f.c, "four_cn_ceil": f.base, "pairs_checked": pairs_checked}
     if worst is not None:
         extra["worst"] = {
             "k": worst[1],
@@ -362,8 +379,49 @@ def check_census_bounds(g: Graph, c: Fraction | None = None) -> BoundEntry:
         observed=worst[3] if worst else 0,
         threshold=worst[4] if worst else None,
         relation="<=",
-        status="violated" if violated else "holds",
+        status="violated" if worst and worst[0] > 0 else "holds",
         note="r_t <= sum of (4cn)^(1-1/2^i), i=0..t, bound rounded up",
+        extra=extra,
+    )
+
+
+def check_census_bounds(g: Graph, c: Fraction | None = None) -> BoundEntry:
+    """r_t against the rounded-up bound sum for every degree class and every
+    t; the worst (r - bound) pair is reported."""
+    return _census_bound(_Facts(g, "census bound", c))
+
+
+def _degree_class_bound(f: _Facts) -> BoundEntry:
+    n = f.n
+    if f.c * n < f.ebar:
+        return BoundEntry(
+            name="degree_class_bound",
+            observed=None,
+            threshold=None,
+            relation="",
+            status="not_applicable",
+            note="precondition e >= C(n,2) - c n fails for c = %s" % f.c,
+            extra={"c": f.c},
+        )
+    worst = None  # (slack, k, count, bound); violated iff its slack > 0
+    for k in range(1, n + 1):
+        t_k = f.hist[n - k]
+        if t_k == 0:
+            continue
+        bound = k * f.terms[k - 1]
+        slack = t_k - bound
+        if worst is None or slack > worst[0]:
+            worst = (slack, k, t_k, bound)
+    extra = {"c": f.c, "four_cn_ceil": f.base}
+    if worst is not None:
+        extra["worst"] = {"k": worst[1], "count": worst[2], "bound": worst[3]}
+    return BoundEntry(
+        name="degree_class_bound",
+        observed=worst[2] if worst else 0,
+        threshold=worst[3] if worst else None,
+        relation="<=",
+        status="violated" if worst and worst[0] > 0 else "holds",
+        note="vertices of degree n-k at most k (4cn)^(1-1/2^(k-1)), bound rounded up",
         extra=extra,
     )
 
@@ -372,86 +430,28 @@ def check_degree_class_bound(g: Graph, c: Fraction | None = None) -> BoundEntry:
     """At most k (4cn)^(1 - 1/2^(k-1)) vertices of degree n-k, for each k,
     provided e(G) >= C(n,2) - c n.  c defaults to ebar/n, which satisfies
     the precondition with equality."""
-    _require_td(g, "degree-class bound")
-    n = g.n
-    base, c = _base_4cn(g, c)
-    if Fraction(g.m) < Fraction(comb(n, 2)) - c * n:
-        return BoundEntry(
-            name="degree_class_bound",
-            observed=None,
-            threshold=None,
-            relation="",
-            status="not_applicable",
-            note="precondition e >= C(n,2) - c n fails for c = %s" % c,
-            extra={"c": c},
-        )
-    degs = g.degrees()
-    counts = {}
-    for d in degs:
-        counts[d] = counts.get(d, 0) + 1
-    worst = None
-    violated = False
-    for k in range(1, n + 1):
-        t_k = counts.get(n - k, 0)
-        if t_k == 0:
-            continue
-        bound = k * _term_ceil(base, k - 1)
-        slack = t_k - bound
-        if worst is None or slack > worst[0]:
-            worst = (slack, k, t_k, bound)
-        if t_k > bound:
-            violated = True
-    extra = {"c": c, "four_cn_ceil": base}
-    if worst is not None:
-        extra["worst"] = {"k": worst[1], "count": worst[2], "bound": worst[3]}
-    return BoundEntry(
-        name="degree_class_bound",
-        observed=worst[2] if worst else 0,
-        threshold=worst[3] if worst else None,
-        relation="<=",
-        status="violated" if violated else "holds",
-        note="vertices of degree n-k at most k (4cn)^(1-1/2^(k-1)), bound rounded up",
-        extra=extra,
-    )
+    return _degree_class_bound(_Facts(g, "degree-class bound", c))
 
 
-_ALL_CHECKS = (
-    "max_degree_lb",
-    "min_degree_ub",
-    "regular_window",
-    "edge_lb",
-    "planarity_edge_excess",
-    "census_bound",
-    "degree_class_bound",
-)
+# every bound by name, in report order
+_CHECKS = {
+    "max_degree_lb": _max_degree_lb,
+    "min_degree_ub": _min_degree_ub,
+    "regular_window": _regular_window,
+    "edge_lb": _edge_lb,
+    "planarity_edge_excess": _planarity,
+    "census_bound": _census_bound,
+    "degree_class_bound": _degree_class_bound,
+}
+_ALL_CHECKS = tuple(_CHECKS)
 
 
 def check_all(g: Graph, names=None) -> BoundsReport:
     """Every bound (or the named subset) on one triangle-distinct graph."""
-    _require_td(g, "bounds sweep")
-    if names is None:
-        names = _ALL_CHECKS
-    else:
-        unknown = set(names) - set(_ALL_CHECKS)
+    f = _Facts(g, "bounds sweep")
+    if names is not None:
+        unknown = set(names) - _CHECKS.keys()
         if unknown:
             raise ValueError("unknown bound names: %s" % sorted(unknown))
-    entries = []
-    for name in _ALL_CHECKS:
-        if name not in names:
-            continue
-        if name == "max_degree_lb" or name == "min_degree_ub":
-            if not any(e.name == name for e in entries):
-                for entry in check_degree_bounds(g):
-                    if entry.name in names:
-                        entries.append(entry)
-        elif name == "regular_window":
-            entries.append(check_regular_window(g))
-        elif name == "edge_lb":
-            entries.append(check_edge_lower_bound(g))
-        elif name == "planarity_edge_excess":
-            entries.append(check_planarity_edge_excess(g))
-        elif name == "census_bound":
-            entries.append(check_census_bounds(g))
-        elif name == "degree_class_bound":
-            entries.append(check_degree_class_bound(g))
-    return BoundsReport(order=g.n, size=g.m, entries=tuple(entries))
+    entries = tuple(fn(f) for name, fn in _CHECKS.items() if names is None or name in names)
+    return BoundsReport(order=g.n, size=g.m, entries=entries)

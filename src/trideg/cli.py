@@ -4,8 +4,8 @@ Subcommands:
 
   construct --n N [--emit graph6|edges|json] [--out FILE]
   check     --in FILE [--bounds all|name,name,...] [--json FILE]
-  search    --n N [--regular] [--workers W] [--checkpoint FILE] [--json FILE]
-            [--max-edges E] [--automorphisms] [--long-run]
+  search    --n N [--regular | --max-edges E] [--workers W] [--checkpoint FILE]
+            [--json FILE] [--automorphisms] [--long-run]
   verify    [--n-max K] [--samples S] [--pairs P] [--seed R] [--json FILE]
   compose   --g FILE --h FILE [--json FILE]
 
@@ -398,11 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive search for triangle-distinct graphs")
     p.add_argument("--n", type=int, required=True, help="order, 2..9")
-    p.add_argument("--regular", action="store_true", help="probe feasible regular degrees only")
+    # the regular probe takes no edge cap, so argparse rejects the pair (exit 2)
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--regular", action="store_true", help="probe feasible regular degrees only")
+    only.add_argument("--max-edges", type=int, help="only consider graphs with at most this many edges")
     p.add_argument("--workers", type=int, help="worker processes (default TRIDEG_WORKERS or CPU count)")
     p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p.add_argument("--json", help="write the report here instead of stdout")
-    p.add_argument("--max-edges", type=int, help="only consider graphs with at most this many edges")
     p.add_argument("--automorphisms", action="store_true", help="count automorphisms per class")
     p.add_argument("--long-run", action="store_true", help="required gate for order 9 (2^36 graphs)")
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")

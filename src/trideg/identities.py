@@ -123,20 +123,17 @@ def composition_triangle_degree(g: Graph, h: Graph, u: int, v: int) -> int:
     )
 
 
-def _lemma_comp_rhs(g: Graph, gbar: Graph, u: int) -> int:
-    n = g.n
-    du = g.rows[u].bit_count()
-    dbar = n - 1 - du
+def _comp_part(g: Graph, gbar: Graph, u: int) -> int:
+    """Tri_Gbar(u) + cut_Gbar(N_G(u), V minus N_G[u])."""
     open_nbhd = g.rows[u]
-    outside_closed = ((1 << n) - 1) & ~open_nbhd & ~(1 << u)
-    cut = cut_edges(gbar, open_nbhd, outside_closed)
-    return (
-        g.m
-        - (1 + dbar) * du
-        - comb(dbar, 2)
-        + triangle_degree(gbar, u)
-        + cut
-    )
+    outside_closed = ((1 << g.n) - 1) & ~open_nbhd & ~(1 << u)
+    return triangle_degree(gbar, u) + cut_edges(gbar, open_nbhd, outside_closed)
+
+
+def _lemma_comp_rhs(g: Graph, gbar: Graph, u: int) -> int:
+    du = g.rows[u].bit_count()
+    dbar = g.n - 1 - du
+    return g.m - (1 + dbar) * du - comb(dbar, 2) + _comp_part(g, gbar, u)
 
 
 def lemma_comp_triangle_degree(g: Graph, u: int) -> int:
@@ -153,11 +150,7 @@ def lemma_comp_signature(g: Graph, u: int) -> tuple[int, int]:
     screening.
     """
     g._check_vertex(u)
-    gbar = complement(g)
-    open_nbhd = g.rows[u]
-    outside_closed = ((1 << g.n) - 1) & ~open_nbhd & ~(1 << u)
-    cut = cut_edges(gbar, open_nbhd, outside_closed)
-    return (g.rows[u].bit_count(), triangle_degree(gbar, u) + cut)
+    return (g.rows[u].bit_count(), _comp_part(g, complement(g), u))
 
 
 def check_graph(g: Graph) -> list[IdentityCheck]:

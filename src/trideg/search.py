@@ -625,6 +625,9 @@ def enumerate_td(
         raise ValueError("chunk_limit without checkpoint_path would lose the partial scan")
     if regular_only is not None and not 0 <= regular_only < n:
         raise ValueError("regular_only degree %d out of range for order %d" % (regular_only, n))
+    if max_edges is not None and max_edges < 0:
+        # checkpoints write "no cap" as max_edges=-1
+        raise ValueError("max_edges must be >= 0, got %d" % max_edges)
     visited, candidates, hits = _enumerate_range(
         n,
         regular_only=regular_only,

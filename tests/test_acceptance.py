@@ -7,6 +7,7 @@ family, the order-7 enumeration) are cached at module level because two
 criteria share them.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -28,6 +29,8 @@ SEED_TRI = (9, 7, 6, 5, 4, 3, 2)
 SEED_DEG = (6, 5, 5, 4, 4, 3, 3)
 # frozen on the first verified run of the order-7 enumeration
 SEED_CANONICAL = "FBnnw"
+# sha256 of the sorted-key JSON list of check_all reports over construct(7..200)
+BOUNDS_FAMILY_SHA256 = "fc01d1c0c77677f9c9c7bace870e004e13936c86c2c2770fac8c8302a40174cd"
 
 _cache = {}
 
@@ -178,9 +181,11 @@ def test_criterion_7_bounds_sweep():
     t0 = time.perf_counter()
     graphs = [gc.graph for gc in family().values()]
     graphs.extend(decode(entry.graph6) for entry in order7_report().td_classes)
-    for g in graphs:
-        report = check_all(g)
+    reports = [check_all(g) for g in graphs]
+    for g, report in zip(graphs, reports):
         assert report.violations == (), (g.n, [e.name for e in report.violations])
+    text = json.dumps([r.to_json_dict() for r in reports[: len(family())]], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDS_FAMILY_SHA256
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _passed(

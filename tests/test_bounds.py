@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import trideg.bounds as bounds
 from trideg.bounds import (
     _ALL_CHECKS,
     _term_ceil,
@@ -68,6 +69,18 @@ def test_checks_demand_distinct_triangle_degrees():
         common_neighbor_census(complete_graph(4), 1, 0)
 
 
+def test_check_all_tests_and_complements_once(monkeypatch):
+    calls = {"is_triangle_distinct": 0, "complement": 0}
+    for name in calls:
+        def counted(g, real=getattr(bounds, name), name=name):
+            calls[name] += 1
+            return real(g)
+
+        monkeypatch.setattr(bounds, name, counted)
+    assert check_all(construct(50).graph).violations == ()
+    assert calls == {"is_triangle_distinct": 1, "complement": 1}
+
+
 def test_check_all_name_selection(g7):
     # selection keeps the canonical report order, whatever the caller wrote
     rep = check_all(g7.graph, names=["planarity_edge_excess", "max_degree_lb"])
@@ -103,7 +116,17 @@ def test_edge_bound_restatement_matches_decimal():
 
 def test_edge_bound_on_family(family40):
     for gc in family40.values():
-        entry = check_edge_lower_bound(gc.graph)
+        g = gc.graph
+        entry = check_edge_lower_bound(g)
+        # the public checks and check_all evaluate the same functions
+        singles = check_degree_bounds(g) + [
+            check_regular_window(g),
+            entry,
+            check_planarity_edge_excess(g),
+            check_census_bounds(g),
+            check_degree_class_bound(g),
+        ]
+        assert {e.name: e for e in singles} == {e.name: e for e in check_all(g).entries}
         assert entry.status == "holds"
         assert entry.extra["cube_bound_ok"] is True
         assert entry.extra["degree_caps_ok"] is True

@@ -157,6 +157,20 @@ def test_search_domain_errors(capsys):
     assert "long" in err.lower()
 
 
+def test_search_negative_max_edges_is_exit_2(capsys):
+    code, _, err = run(["search", "--n", "5", "--max-edges", "-1", "--quiet"], capsys)
+    assert code == 2
+    assert "max_edges" in err
+
+
+def test_search_regular_with_max_edges_is_exit_2(capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["search", "--n", "6", "--regular", "--max-edges", "9", "--quiet"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "--regular" in err and "--max-edges" in err
+
+
 def test_search_worker_flag_validation(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["search", "--n", "4", "--workers", "0"])

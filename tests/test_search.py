@@ -59,6 +59,15 @@ def test_max_edges_filter():
     assert rep.max_edges == 2
 
 
+def test_negative_max_edges_rejected(tmp_path):
+    # a checkpoint writes "no cap" as max_edges=-1, so a cap of -1 would
+    # resume as an unfiltered scan
+    ckpt = tmp_path / "ck"
+    with pytest.raises(ValueError, match="max_edges"):
+        enumerate_td(7, max_edges=-1, workers=1, checkpoint_path=str(ckpt), chunk_limit=1)
+    assert not ckpt.exists()
+
+
 def test_is_triangle_distinct_matches_oracle(family40):
     def oracle(g):
         return g.n >= 2 and len(set(oracles.triangle_list_slow(g))) == g.n
