@@ -54,6 +54,12 @@ from math import comb, isqrt
 from .graphs import Graph, complement, is_triangle_distinct
 from .graphs import triangle_degrees  # noqa: F401  bench/tracing.py wraps bounds.triangle_degrees
 
+
+class NotTriangleDistinct(ValueError):
+    """A bound that applies to triangle-distinct graphs only was asked about
+    a graph that is not one."""
+
+
 # Largest intermediate power, in bits, the exact ceiling path may build.
 _EXACT_POWER_BITS = 200_000
 
@@ -144,13 +150,13 @@ def _term_ceil(base: int, i: int) -> int:
 class _Facts:
     """What the bounds read about one graph, computed once; the term table
     is built on first use.  With `what`, a graph that is not
-    triangle-distinct raises ValueError naming it.  c defaults to ebar/n,
-    making 4cn the integer 4*ebar exactly."""
+    triangle-distinct raises NotTriangleDistinct naming it.  c defaults to
+    ebar/n, making 4cn the integer 4*ebar exactly."""
 
     def __init__(self, g: Graph, what: str | None = None, c: Fraction | None = None):
         self.td = is_triangle_distinct(g)
         if what and not self.td:
-            raise ValueError("%s applies to triangle-distinct graphs only" % what)
+            raise NotTriangleDistinct("%s applies to triangle-distinct graphs only" % what)
         n = self.n = g.n
         self.m = g.m
         self.degrees = g.degrees()

@@ -5,14 +5,15 @@ Subcommands:
   construct --n N [--emit graph6|edges|json] [--out FILE]
   check     --in FILE [--bounds all|name,name,...] [--json FILE]
   search    --n N [--regular | --max-edges E] [--workers W] [--checkpoint FILE]
-            [--json FILE] [--automorphisms] [--long-run]
+            [--json FILE] [--automorphisms]
   verify    [--n-max K] [--samples S] [--pairs P] [--seed R] [--json FILE]
   compose   --g FILE --h FILE [--json FILE]
 
 Exit codes: 0 success, 1 interrupted with a resumable checkpoint, 2 usage or
-domain errors, 3 I/O and parse errors (unwritable paths, malformed checkpoints;
-messages name the file and line), 4 a certified claim failed (an identity, a
-certificate, a bound, or a search class count), which always means a bug.
+domain errors, 3 I/O and parse errors (unwritable paths, malformed or
+retired-format checkpoints; messages name the file and line), 4 a certified
+claim failed (an identity, a certificate, a bound, or a search class's hit
+count), which always means a bug.
 
 Reports go to stdout, progress chatter to stderr (search progress at most
 once a second, with rate and ETA).  JSON is serialized with sorted keys and
@@ -29,7 +30,8 @@ import time
 from . import bounds as bounds_mod
 from . import graph6
 from .construction import CertificationError, construct
-from .graphs import is_triangle_distinct, random_graph, triangle_degrees
+from .graphs import is_triangle_distinct  # noqa: F401  bench/tracing.py wraps cli.is_triangle_distinct
+from .graphs import random_graph, triangle_degrees
 from .identities import check_composition, check_graph
 from .search import (
     CheckpointError,
@@ -77,11 +79,12 @@ def _read_graph6_file(path):
 
 
 class _Progress:
-    """The search commands' progress callback: a stderr line at most once a
-    second, and always at the end of a scan.  A probe scans one range
-    per degree, so a cursor that moves backwards starts a new scan; the rate
-    and ETA are measured from a scan's first call, which also makes them
-    right for a resumed scan."""
+    """The search commands' progress callback, called with the graphs of the
+    last level extended so far and the level's size: a stderr line at most
+    once a second, and always at the end of a scan.  A probe scans once per
+    degree, so a count that moves backwards starts a new scan; the rate and
+    ETA are measured from a scan's first call, which also makes them right
+    for a resumed scan."""
 
     def __init__(self, clock=time.monotonic):
         self.clock = clock
@@ -91,17 +94,17 @@ class _Progress:
 
     def __call__(self, cursor, total):
         now = self.clock()
-        if self.first is None or cursor <= self.cursor:
+        if self.first is None or cursor < self.cursor:
             self.first = (now, cursor)
         self.cursor = cursor
         if cursor < total and now - self.last < 1.0:
             return
         self.last = now
-        line = "scanned %d / %d counters" % (cursor, total)
+        line = "extended %d / %d graphs" % (cursor, total)
         t0, c0 = self.first
         if now > t0 and cursor > c0:
             rate = (cursor - c0) / (now - t0)
-            line += ", %.0f counters/s, ETA %.0f s" % (rate, (total - cursor) / rate)
+            line += ", %.0f graphs/s, ETA %.0f s" % (rate, (total - cursor) / rate)
         print(line, file=sys.stderr, flush=True)
 
 
@@ -155,7 +158,12 @@ def _cmd_check(args) -> int:
     results = []
     any_violation = False
     for lineno, g in graphs:
-        td = is_triangle_distinct(g)
+        # check_all tests triangle-distinctness once, in its facts pass
+        try:
+            report = bounds_mod.check_all(g, names)
+        except bounds_mod.NotTriangleDistinct:
+            report = None
+        td = report is not None
         record = {
             "line": lineno,
             "graph6": graph6.encode(g),
@@ -166,7 +174,6 @@ def _cmd_check(args) -> int:
             "bounds": None,
         }
         if td:
-            report = bounds_mod.check_all(g, names)
             record["bounds"] = report.to_json_dict()
             if report.violations:
                 any_violation = True
@@ -206,21 +213,12 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.n == 9 and not args.long_run:
-        print(
-            "error: order 9 enumerates 2^36 labeled graphs; pass --long-run "
-            "(and preferably --checkpoint) to run it",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
     progress = None if args.quiet else _Progress()
     try:
         if args.regular:
             report = probe_regular(
                 args.n,
                 workers=workers,
-                allow_slow=args.long_run,
                 checkpoint_path=args.checkpoint,
                 count_automorphisms=args.automorphisms,
                 progress=progress,
@@ -230,7 +228,6 @@ def _cmd_search(args) -> int:
                 args.n,
                 workers=workers,
                 max_edges=args.max_edges,
-                allow_slow=args.long_run,
                 checkpoint_path=args.checkpoint,
                 count_automorphisms=args.automorphisms,
                 progress=progress,
@@ -406,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     p.add_argument("--json", help="write the report here instead of stdout")
     p.add_argument("--automorphisms", action="store_true", help="count automorphisms per class")
-    p.add_argument("--long-run", action="store_true", help="required gate for order 9 (2^36 graphs)")
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
     p.set_defaults(func=_cmd_search)
 

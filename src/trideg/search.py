@@ -1,47 +1,58 @@
 """Exhaustive search for triangle-distinct graphs, canonical forms, and the
 regular-graph probe.
 
-Enumeration strategy.  Labeled graphs on n vertices correspond one-to-one to
-counters in [0, 2^C(n,2)): bit b of the counter is edge pair_list(n)[b].  The
-counter range is cut into fixed-size chunks (a function of n only, never of
-the worker count), chunks are scanned left to right, and per-chunk results
-are merged strictly in counter order.  Workers therefore change wall time and
-nothing else: the finished report serializes to identical bytes for any
-worker count.
+Enumeration strategy.  Deleting a vertex from a graph G of order n leaves a
+graph of order n-1, so G is some unlabeled graph H of order n-1 plus one
+vertex joined to a set N of H's vertices (the orderly idea of Read, "Every
+one a winner", 1978).  The search therefore extends one representative of
+each isomorphism class of order n-1 instead of every labeled graph:
 
-Inside a chunk the scan extends one smaller graph at a time.  Bits
-0..n-2 of a counter are the pairs (0, 1..n-1), so a counter is hi * 2^(n-1)
-+ lo where hi encodes H = G - 0 on vertices 1..n-1 and lo encodes vertex 0's
-neighbourhood N (bit b is vertex b+1).  Chunks are multiples of 2^(n-1)
-counters, so each one holds, for every H in it, all 2^(n-1) choices of N in
-ascending counter order.  For each H the scan builds its rows and triangle
-degrees t_H once (graphs.triangle_degrees_rows) and then:
+  * Levels.  The unlabeled graphs of orders 1..n-1 are built level by level:
+    every graph of a level gets one new vertex joined in every possible way,
+    and the children are deduplicated by canonical_form.  A level is the
+    sorted list of its canonical graph6 strings.  Levels are pruned only by
+    properties every induced subgraph inherits, so each kept graph still has
+    a kept parent: under an edge cap E, m <= E; for a d-regular scan of order
+    n, a graph of order k must have every degree in [d - (n - k), d], since
+    it is an induced subgraph of a d-regular graph.
+  * Extension.  Each H of level n-1 is put on vertices 1..n-1 and joined to
+    vertex 0 by every admissible N.  G's triangle degrees follow from H's:
+    t(v) = t_H(v) + |N & N_H(v)| for v in N, t(v) = t_H(v) otherwise, and
+    t(0) is half the sum of the additions.  Two vertices of H outside N keep
+    their triangle degrees, so only the N that leave at most one vertex of
+    each tie class of t_H outside are tested, each by a full distinctness
+    check of all n values.  Under an edge cap only N with |N| <= E - m(H)
+    count, and a d-regular scan has one possible N: the vertices of degree
+    d-1, valid when every other vertex has degree d and |N| = d.
 
-  * Triangle degrees of G follow from H: t(v) = t_H(v) + |N & N_H(v)| for v
-    in N, t(v) = t_H(v) otherwise, and t(0) is half the sum of the
-    additions.
-  * Two vertices of H outside N keep their triangle degrees, so two with
-    equal t_H both outside N make G non-distinct.  Only the N that leave at
-    most one vertex of each tie class of t_H outside are tested, ascending;
-    each is kept after a full distinctness check of all n triangle degrees.
-  * candidates needs no walk: 2^(n-1) per H unfiltered and, under an edge
-    cap E, the number of N with |N| <= E - m(H), from a table of binomial
-    prefix sums (H with m(H) > E are skipped).
-  * A d-regular probe has one possible N per H: the vertices of degree d-1
-    in H, valid only when every other vertex of H has degree d and |N| = d.
+Work is cut into fixed slices of each parent list (32 from order 7 on, else
+one; never a function of the worker count); level steps and the extension run
+slice by slice, in a process pool when workers > 1, and results merge in
+slice order.  Reports therefore serialize to identical bytes for any worker
+count.
 
-Class sizes come from a theorem, not a count.  An automorphism preserves
-triangle degrees, so it fixes every vertex of a triangle-distinct graph: Aut
-is trivial and each class has exactly n! labelings.  For the same reason,
-relabeling a hit by descending triangle degree is already a canonical
-labeling: hits are grouped by it (rechecking distinctness from their rows)
-and canonical_form runs once per class.  Every finished scan checks
-td_labeled == n! * classes and raises CertificationError otherwise.
+Counts in closed form.  A scan accounts for every labeled graph of order n,
+so labeled_count is 2^C(n,2) per scan.  candidates, the labeled graphs that
+pass the edge-cap or regularity filter, is 2^C(n,2), the binomial prefix sum
+of C(C(n,2), k) over k <= E, or the number of labeled d-regular graphs
+(_regular_count).  An automorphism preserves triangle degrees, so it fixes
+every vertex of a triangle-distinct graph: Aut is trivial, each class has
+aut_size 1 and exactly n! labelings, and td_labeled is n! * classes.
 
-Orders up to 8 finish in minutes or less.  Order 9 is 2^36 labeled graphs
-and only runs when allow_slow=True; long runs can checkpoint every chunk to
-a plain-text file and resume after an interruption, which surfaces as
-SearchInterrupted rather than a half-filled report.
+Certification.  Hits are keyed by their relabeling by triangle degree, which
+for a triangle-distinct graph is already canonical (_class_key rechecks
+distinctness from the rows); canonical_form runs once per class.  Because
+Aut(G) is trivial, each isomorphism from the level's representative of
+G - v onto G - v gives exactly one hit, so class G is hit exactly
+sum_v |Aut(G - v)| times.  Every finished scan checks that count per class
+and raises CertificationError on a mismatch.
+
+Orders 2..9 are supported; order 9 takes about a minute, most of it in
+canonical labeling of the 133,632 children that make level 8.  A scan can
+checkpoint after every extension slice to a plain-text file holding the
+slices done and one graph6 representative and hit count per class found so
+far; an interruption surfaces as SearchInterrupted, and rerunning the same
+call rebuilds the levels and resumes from the file.
 
 Canonical forms are brute force, capped at order 9: the lexicographically
 smallest graph6 body over the vertex orderings that list degrees ascending
@@ -51,17 +62,18 @@ is the same relation as isomorphism, which is all the de-duplication needs.
 """
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from multiprocessing import Pool
 
 from . import graph6
 from .construction import CertificationError
 from .graphs import (  # noqa: F401  is_triangle_distinct is re-exported
     Graph,
-    counter_of_graph,
-    graph_from_counter,
+    induced,
     is_triangle_distinct,
     pair_list,
     triangle_degrees,
@@ -109,12 +121,12 @@ class ClassEntry:
 class SearchReport:
     """Outcome of one exhaustive run.
 
-    labeled_count is the number of counters visited (the full 2^C(n,2) for an
-    unfiltered complete run); candidates is how many survived the cheap
-    edge-count and regularity filters and reached the triangle-degree stage.
-    td_classes holds one entry per isomorphism class, sorted by canonical
-    graph6 string.  For a probe over regular graphs, regular_degrees lists
-    every degree that was enumerated.
+    labeled_count is the number of labeled graphs accounted for (2^C(n,2)
+    per scan); candidates is how many of them pass the edge-count and
+    regularity filters.  td_labeled is the number of labeled
+    triangle-distinct graphs among them.  td_classes holds one entry per
+    isomorphism class, sorted by canonical graph6 string.  For a probe over
+    regular graphs, regular_degrees lists every degree that was enumerated.
     """
 
     order: int
@@ -244,13 +256,123 @@ def automorphism_count(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration
+# counts in closed form
 
 
-def _chunk_size(nbits: int) -> int:
-    # Chunking depends on the order alone so that reports cannot depend on
-    # the worker count; 2^24 keeps order-9 checkpoints usefully frequent.
-    return 1 << 24 if nbits > 28 else 1 << 16
+def _candidates(n, regular_d, max_edges):
+    """Labeled graphs of order n that pass the edge cap or regularity filter."""
+    nbits = n * (n - 1) // 2
+    if regular_d is not None:
+        if max_edges is not None and n * regular_d > 2 * max_edges:
+            return 0
+        return _regular_count(n, regular_d)
+    if max_edges is None:
+        return 1 << nbits
+    return sum(comb(nbits, k) for k in range(min(max_edges, nbits) + 1))
+
+
+def _regular_count(n, d):
+    """Labeled d-regular graphs on n vertices.
+
+    Vertices are removed one at a time, each joined to the vertices left.  A
+    state counts the vertices left by how many neighbours they still miss
+    (state[r - 1] miss r); the removed vertex is one that misses the most,
+    and it picks that many neighbours among the vertices still missing one.
+    The count depends only on the state, since vertices that miss the same
+    number are interchangeable.
+    """
+
+    @cache
+    def count(state):
+        top = len(state)
+        while top and not state[top - 1]:
+            top -= 1
+        if not top:
+            return 1
+        rest = list(state)
+        rest[top - 1] -= 1
+        total = 0
+        for pick in product(*(range(min(c, top) + 1) for c in rest)):
+            if sum(pick) != top:
+                continue
+            nxt = [c - j for c, j in zip(rest, pick)]
+            for r in range(1, len(nxt)):
+                nxt[r - 1] += pick[r]  # a picked vertex misses one fewer
+            total += prod(comb(c, j) for c, j in zip(rest, pick)) * count(tuple(nxt))
+        return total
+
+    return count((0,) * (d - 1) + (n,)) if 0 < d < n else int(d == 0)
+
+
+# ---------------------------------------------------------------------------
+# levels and extension
+
+def _slice_count(n):
+    """Work units per level step and per extension of an order-n search.
+    Fixed by the order, so that neither the results nor their order can
+    depend on the worker count.  Below order 7 a whole search takes
+    milliseconds, less than a checkpoint write per slice would."""
+    return 32 if n >= 7 else 1
+
+
+def _slices(items, count):
+    """items cut into count contiguous slices, some possibly empty."""
+    k = len(items)
+    return [items[i * k // count : (i + 1) * k // count] for i in range(count)]
+
+
+@contextmanager
+def _runner(workers):
+    """map, or an ordered process-pool map when workers > 1."""
+    if workers <= 1:
+        yield map
+    else:
+        with Pool(processes=workers) as pool:
+            yield pool.imap
+
+
+def _admits(g, n, regular_d, max_edges):
+    """Whether g can be an induced subgraph of a graph of order n that the
+    scan looks for: m <= max_edges, and for a d-regular scan every degree in
+    [d - (n - g.n), d].  Both survive vertex deletion."""
+    if max_edges is not None and g.m > max_edges:
+        return False
+    if regular_d is None:
+        return True
+    low = regular_d - (n - g.n)
+    return all(low <= x <= regular_d for x in g.degrees())
+
+
+def _grow_slice(args):
+    """The canonical forms of every child of the parents (graph6 strings of
+    one order k) that _admits keeps; a child is a parent plus vertex k
+    joined to any subset of its vertices."""
+    parents, n, regular_d, max_edges = args
+    found = set()
+    for text in parents:
+        h = graph6.decode(text)
+        k = h.n
+        for nbhd in range(1 << k):
+            rows = [r | (nbhd >> v & 1) << k for v, r in enumerate(h.rows)]
+            rows.append(nbhd)
+            child = Graph._trusted(k + 1, rows, h.m + nbhd.bit_count())
+            if _admits(child, n, regular_d, max_edges):
+                found.add(canonical_form(child))
+    return found
+
+
+def _levels(n, regular_d, max_edges, run):
+    """[level 1, ..., level n - 1]: the sorted canonical graph6 strings of
+    the graphs of each order that _admits keeps; run maps a function over
+    the slices of a level, in order."""
+    levels = [["@"]]  # the graph of order 1
+    for _ in range(2, n):
+        tasks = [(part, n, regular_d, max_edges) for part in _slices(levels[-1], _slice_count(n))]
+        found = set()
+        for part in run(_grow_slice, tasks):
+            found |= part
+        levels.append(sorted(found))
+    return levels
 
 
 def _extensions(classes):
@@ -293,241 +415,48 @@ def _extends_td(rows, t_h, nbhd):
     return not seen & (1 << (twice0 >> 1))
 
 
-def _scan_chunk(args):
-    """Scan counters [start, end); return (visited, candidates, hit counters).
+def _regular_nbhd(rows, d):
+    """[N] for the one N that makes H plus vertex 0 d-regular, else []: N is
+    exactly H's vertices of degree d - 1, every other vertex of H must have
+    degree d, and |N| = d.  rows are as for _extends_td."""
+    nbhd = 0
+    for v in range(1, len(rows)):
+        deg = rows[v].bit_count()
+        if deg == d - 1:
+            nbhd |= 1 << v
+        elif deg != d:
+            return []
+    return [nbhd] if nbhd.bit_count() == d else []
 
-    The range must be aligned to 2^(n-1) counters, one block per graph
-    H = G - 0 (see the module docstring); an unaligned one raises ValueError.
-    """
-    n, start, end, regular_d, max_edges = args
-    k = n - 1
-    if start % (1 << k) or end % (1 << k):
-        raise ValueError(
-            "scan range [%d, %d) is not aligned to 2^%d counters" % (start, end, k)
-        )
-    pairs = pair_list(n)[k:]  # H's pairs, in G's labels: hi bit b is pairs[b]
-    bi = tuple(p[0] for p in pairs)
-    bj = tuple(p[1] for p in pairs)
-    mi = tuple(1 << p[0] for p in pairs)
-    mj = tuple(1 << p[1] for p in pairs)
-    # with_room[s]: how many N have at most s vertices
-    with_room = [sum(comb(k, i) for i in range(s + 1)) for s in range(k + 1)]
+
+def _extend_slice(args):
+    """Every triangle-distinct G = H + vertex 0 over the parents H (graph6
+    strings of order n - 1) within the edge cap or regularity filter, as G's
+    adjacency rows, by parent and then by ascending N."""
+    parents, n, regular_d, max_edges = args
     extensions = {}  # tie partition of H's triangle degrees -> _extensions
     hits = []
-    candidates = 0
-    for hi in range(start >> k, end >> k):
-        rows = [0] * n
-        w = hi
-        while w:
-            low = w & -w
-            b = low.bit_length() - 1
-            rows[bi[b]] |= mj[b]
-            rows[bj[b]] |= mi[b]
-            w ^= low
-        room = k if max_edges is None else min(k, max_edges - hi.bit_count())
-        if room < 0:
-            continue
-        base = hi << k
-        if regular_d is not None:
-            # G is d-regular iff N is exactly H's vertices of degree d - 1,
-            # every other vertex of H has degree d, and |N| = d.
-            nbhd = 0
-            for v in range(1, n):
-                deg = rows[v].bit_count()
-                if deg == regular_d - 1:
-                    nbhd |= 1 << v
-                elif deg != regular_d:
-                    break
-            else:
-                if nbhd.bit_count() == regular_d <= room:
-                    candidates += 1
-                    if _extends_td(rows, triangle_degrees_rows(rows), nbhd):
-                        hits.append(base | nbhd >> 1)
-            continue
-        candidates += with_room[room]
+    for text in parents:
+        h = graph6.decode(text)
+        rows = [0] + [r << 1 for r in h.rows]  # H on vertices 1..n-1
+        room = n - 1 if max_edges is None else min(n - 1, max_edges - h.m)
         t_h = triangle_degrees_rows(rows)
-        classes = {}
-        for v in range(1, n):
-            classes[t_h[v]] = classes.get(t_h[v], 0) | 1 << v
-        key = tuple(classes.values())
-        todo = extensions.get(key)
-        if todo is None:
-            todo = extensions[key] = _extensions(key)
+        if regular_d is not None:
+            todo = _regular_nbhd(rows, regular_d)
+        else:
+            classes = {}
+            for v in range(1, n):
+                classes[t_h[v]] = classes.get(t_h[v], 0) | 1 << v
+            key = tuple(classes.values())
+            todo = extensions.get(key)
+            if todo is None:
+                todo = extensions[key] = _extensions(key)
         for nbhd in todo:
             if nbhd.bit_count() <= room and _extends_td(rows, t_h, nbhd):
-                hits.append(base | nbhd >> 1)
-    return end - start, candidates, hits
-
-
-# ---------------------------------------------------------------------------
-# checkpoints (plain text, atomic replace)
-
-_CKPT_MAGIC = "trideg-checkpoint v1"
-_CKPT_COUNTS = ("cursor", "visited", "candidates")
-
-
-def _write_checkpoint(path, config, cursor, visited, candidates, hit_lines):
-    """Replace the checkpoint file; hit_lines are the hits' graph6 strings."""
-    fields = dict(config, cursor=cursor, visited=visited, candidates=candidates)
-    lines = [_CKPT_MAGIC] + ["%s=%d" % kv for kv in fields.items()] + ["hits:"] + hit_lines
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-def _read_checkpoint(path, config):
-    """(cursor, visited, candidates, hit counters, hit graph6 lines) from a
-    checkpoint file.
-
-    A malformed file raises CheckpointError naming the file and the field or
-    line; so does a cursor off the chunk grid, or a visited count that is not
-    the counters below the cursor.  A well-formed one written for another
-    configuration raises a plain ValueError.  Header keys this version does
-    not write are ignored, so checkpoints from versions that recorded more
-    settings still resume.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _CKPT_MAGIC:
-        raise CheckpointError("not a checkpoint file: %s" % path)
-    if "hits:" not in lines:
-        raise CheckpointError("checkpoint %s has no 'hits:' line" % path)
-    end = lines.index("hits:")
-    kv = {}
-    for lineno, line in enumerate(lines[1:end], start=2):
-        key, _, value = line.partition("=")
-        try:
-            kv[key] = int(value)
-        except ValueError:
-            raise CheckpointError(
-                "checkpoint %s line %d: expected key=integer, got %r" % (path, lineno, line)
-            ) from None
-    missing = [k for k in (*config, *_CKPT_COUNTS) if k not in kv]
-    if missing:
-        raise CheckpointError("checkpoint %s is missing %s" % (path, ", ".join(missing)))
-    for key, want in config.items():
-        if kv[key] != want:
-            raise ValueError(
-                "checkpoint %s does not match this run: %s=%s, expected %s"
-                % (path, key, kv[key], want)
-            )
-    n = config["order"]
-    first, last, cursor = config["range_start"], config["range_end"], kv["cursor"]
-    chunk = _chunk_size(n * (n - 1) // 2)
-    if cursor != last and not (first <= cursor < last and (cursor - first) % chunk == 0):
-        raise CheckpointError(
-            "checkpoint %s: cursor=%d is not a chunk boundary of [%d, %d)"
-            % (path, cursor, first, last)
-        )
-    if kv["visited"] != cursor - first:
-        raise CheckpointError(
-            "checkpoint %s: visited=%d, but the cursor says %d counters were scanned"
-            % (path, kv["visited"], cursor - first)
-        )
-    hits, hit_lines = [], []
-    for lineno, line in enumerate(lines[end + 1 :], start=end + 2):
-        if not line:
-            continue
-        try:
-            g = graph6.decode(line)
-        except graph6.Graph6Error as exc:
-            raise CheckpointError(
-                "checkpoint %s line %d: undecodable hit: %s" % (path, lineno, exc)
-            ) from None
-        if g.n != n:
-            raise CheckpointError(
-                "checkpoint %s line %d: hit of order %d, expected %d" % (path, lineno, g.n, n)
-            )
-        hits.append(counter_of_graph(g))
-        hit_lines.append(graph6.encode(g))
-    return cursor, kv["visited"], kv["candidates"], hits, hit_lines
-
-
-# ---------------------------------------------------------------------------
-# driver
-
-
-def _enumerate_range(
-    n,
-    *,
-    regular_only=None,
-    max_edges=None,
-    workers=None,
-    checkpoint_path=None,
-    chunk_limit=None,
-    progress=None,
-):
-    """Scan the whole counter range for one configuration; return
-    (visited, candidates, hit counters in counter order)."""
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
-    config = {
-        "order": n,
-        "regular": -1 if regular_only is None else regular_only,
-        "max_edges": -1 if max_edges is None else max_edges,
-        "range_start": 0,
-        "range_end": total,
-    }
-    cursor, visited, candidates, hits, hit_lines = 0, 0, 0, [], []
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        cursor, visited, candidates, hits, hit_lines = _read_checkpoint(checkpoint_path, config)
-    if workers is None:
-        workers = default_workers()
-    chunk = _chunk_size(nbits)
-    pairs = pair_list(n)
-    tasks = [
-        (n, s, min(s + chunk, total), regular_only, max_edges)
-        for s in range(cursor, total, chunk)
-    ]
-    done_chunks = 0
-
-    def absorb(result, task_end):
-        nonlocal cursor, visited, candidates, done_chunks
-        visited += result[0]
-        candidates += result[1]
-        hits.extend(result[2])
-        cursor = task_end
-        done_chunks += 1
-        if checkpoint_path:
-            hit_lines.extend(graph6.encode(graph_from_counter(n, x, pairs)) for x in result[2])
-            _write_checkpoint(checkpoint_path, config, cursor, visited, candidates, hit_lines)
-        if progress:
-            progress(cursor, total)
-
-    def interrupted(reason):
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, config, cursor, visited, candidates, hit_lines)
-        return SearchInterrupted(
-            "%s at counter %d of %d%s"
-            % (
-                reason,
-                cursor,
-                total,
-                "; resume from %s" % checkpoint_path if checkpoint_path else "",
-            ),
-            checkpoint_path,
-            cursor,
-            total,
-        )
-
-    try:
-        if workers <= 1 or len(tasks) <= 1:
-            for task in tasks:
-                if chunk_limit is not None and done_chunks >= chunk_limit:
-                    raise interrupted("stopped after %d chunks" % done_chunks)
-                absorb(_scan_chunk(task), task[2])
-        else:
-            with Pool(processes=workers) as pool:
-                for task, result in zip(tasks, pool.imap(_scan_chunk, tasks)):
-                    absorb(result, task[2])
-                    if chunk_limit is not None and done_chunks >= chunk_limit:
-                        raise interrupted("stopped after %d chunks" % done_chunks)
-    except KeyboardInterrupt:
-        raise interrupted("interrupted") from None
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        os.remove(checkpoint_path)
-    return visited, candidates, hits
+                g = [r | (nbhd >> v & 1) for v, r in enumerate(rows)]
+                g[0] = nbhd
+                hits.append(tuple(g))
+    return hits
 
 
 def _class_key(g: Graph) -> int:
@@ -559,36 +488,200 @@ def _class_key(g: Graph) -> int:
     return key
 
 
-def _report(n, visited, candidates, hits, count_automorphisms, **fields):
-    """The SearchReport of a finished scan, one class per canonical form.
+# ---------------------------------------------------------------------------
+# checkpoints (plain text, atomic replace)
 
-    Hits are grouped by _class_key, and canonical_form runs once per group.
-    A triangle-distinct graph has only the trivial automorphism, so each
-    class has aut_size 1 and exactly n! labelings among the hits; a scan
-    whose hit count says otherwise is wrong and raises CertificationError.
+_CKPT_MAGIC = "trideg-checkpoint v2"
+_CKPT_COUNTER_MAGIC = "trideg-checkpoint v1"  # the retired labeled counter scan
+
+
+def _write_checkpoint(path, config, cursor, classes):
+    """Replace the checkpoint file: the slices done, then one line per class,
+    '<graph6 representative> <hits>'."""
+    lines = [_CKPT_MAGIC] + ["%s=%d" % kv for kv in dict(config, cursor=cursor).items()]
+    lines.append("classes:")
+    lines += ["%s %d" % (graph6.encode(g), hits) for g, hits in classes.values()]
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    with open(tmp, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
+
+
+def _read_checkpoint(path, config):
+    """(cursor, classes) from a checkpoint file, classes as _scan keeps them.
+
+    A malformed file raises CheckpointError naming the file and the field or
+    line: text that is not ASCII, a missing or non-integer field, a cursor
+    that is not a slice count, a class line that does not decode to a
+    triangle-distinct graph of the run's order or repeats a class, or a hit
+    count below 1.  A file of the retired counter format says so.  A
+    well-formed file written for another configuration raises a plain
+    ValueError.  Header keys this version does not write are ignored.
     """
-    pairs = pair_list(n)
-    by_key = {}
-    for x in hits:
-        g = graph_from_counter(n, x, pairs)
-        by_key.setdefault(_class_key(g), g)
-    by_canon = {canonical_form(g): g for g in by_key.values()}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError("checkpoint %s is not ASCII text" % path) from None
+    if lines and lines[0] == _CKPT_COUNTER_MAGIC:
+        raise CheckpointError(
+            "checkpoint %s is in the old counter format (%s), which this version "
+            "cannot resume; delete it to scan afresh" % (path, _CKPT_COUNTER_MAGIC)
+        )
+    if not lines or lines[0] != _CKPT_MAGIC:
+        raise CheckpointError("not a checkpoint file: %s" % path)
+    if "classes:" not in lines:
+        raise CheckpointError("checkpoint %s has no 'classes:' line" % path)
+    end = lines.index("classes:")
+    kv = {}
+    for lineno, line in enumerate(lines[1:end], start=2):
+        key, _, value = line.partition("=")
+        try:
+            kv[key] = int(value)
+        except ValueError:
+            raise CheckpointError(
+                "checkpoint %s line %d: expected key=integer, got %r" % (path, lineno, line)
+            ) from None
+    missing = [k for k in (*config, "cursor") if k not in kv]
+    if missing:
+        raise CheckpointError("checkpoint %s is missing %s" % (path, ", ".join(missing)))
+    for key, want in config.items():
+        if kv[key] != want:
+            raise ValueError(
+                "checkpoint %s does not match this run: %s=%s, expected %s"
+                % (path, key, kv[key], want)
+            )
+    n, cursor = config["order"], kv["cursor"]
+    if not 0 <= cursor <= _slice_count(n):
+        raise CheckpointError(
+            "checkpoint %s: cursor=%d is not a slice count 0..%d" % (path, cursor, _slice_count(n))
+        )
+    classes = {}
+    for lineno, line in enumerate(lines[end + 1 :], start=end + 2):
+        if not line:
+            continue
+        where = "checkpoint %s line %d" % (path, lineno)
+        text, _, count = line.partition(" ")
+        try:
+            g = graph6.decode(text)
+            hits = int(count)
+        except ValueError as exc:
+            raise CheckpointError("%s: expected '<graph6> <hits>': %s" % (where, exc)) from None
+        if g.n != n:
+            raise CheckpointError("%s: class of order %d, expected %d" % (where, g.n, n))
+        if hits < 1:
+            raise CheckpointError("%s: hit count %d, expected at least 1" % (where, hits))
+        try:
+            key = _class_key(g)
+        except CertificationError as exc:
+            raise CheckpointError("%s: %s" % (where, exc)) from None
+        if key in classes:
+            raise CheckpointError("%s: repeats the class of %s" % (where, graph6.encode(classes[key][0])))
+        classes[key] = [g, hits]
+    return cursor, classes
+
+
+# ---------------------------------------------------------------------------
+# driver
+
+
+def _scan(
+    n,
+    *,
+    regular_d=None,
+    max_edges=None,
+    workers=None,
+    checkpoint_path=None,
+    chunk_limit=None,
+    progress=None,
+):
+    """Build the levels and extend level n - 1 for one configuration; return
+    {class key: [representative Graph, hits]} in order of discovery.
+
+    progress(graphs extended, level size) is called once per extension
+    slice, never while the levels are built.
+    """
+    config = {
+        "order": n,
+        "regular": -1 if regular_d is None else regular_d,
+        "max_edges": -1 if max_edges is None else max_edges,
+    }
+    cursor, classes = 0, {}
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        cursor, classes = _read_checkpoint(checkpoint_path, config)
+    start, slices = cursor, _slice_count(n)
+    if workers is None:
+        workers = default_workers()
+
+    def absorb(hits):
+        nonlocal cursor
+        for rows in hits:
+            g = Graph._trusted(n, rows)
+            classes.setdefault(_class_key(g), [g, 0])[1] += 1
+        cursor += 1
+        if checkpoint_path:
+            _write_checkpoint(checkpoint_path, config, cursor, classes)
+
+    def interrupted(reason):
+        if checkpoint_path:
+            _write_checkpoint(checkpoint_path, config, cursor, classes)
+        return SearchInterrupted(
+            "%s at slice %d of %d%s"
+            % (
+                reason,
+                cursor,
+                slices,
+                "; resume from %s" % checkpoint_path if checkpoint_path else "",
+            ),
+            checkpoint_path,
+            cursor,
+            slices,
+        )
+
+    try:
+        with _runner(workers if slices > 1 else 1) as run:
+            level = _levels(n, regular_d, max_edges, run)[-1]
+            tasks = [(part, n, regular_d, max_edges) for part in _slices(level, slices)[cursor:]]
+            for hits in run(_extend_slice, tasks):
+                absorb(hits)
+                if progress:
+                    progress(cursor * len(level) // slices, len(level))
+                if chunk_limit is not None and cursor - start >= chunk_limit and cursor < slices:
+                    raise interrupted("stopped after %d slices" % (cursor - start))
+    except KeyboardInterrupt:
+        raise interrupted("interrupted") from None
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        os.remove(checkpoint_path)
+    return classes
+
+
+def _report(n, classes, count_automorphisms, **fields):
+    """The SearchReport of finished scans, one entry per class.
+
+    Each class must have been hit exactly sum_v |Aut(G - v)| times (see the
+    module docstring); a class hit any other number of times raises
+    CertificationError.  canonical_form runs once per class.
+    """
+    full = (1 << n) - 1
+    by_canon = {}
+    for g, hits in classes.values():
+        want = sum(automorphism_count(induced(g, full ^ 1 << v)) for v in range(n))
+        if hits != want:
+            raise CertificationError(
+                "order %d class %s was reached %d times by extension, not "
+                "sum_v |Aut(G - v)| = %d" % (n, graph6.encode(g), hits, want)
+            )
+        by_canon[canonical_form(g)] = g
     labelings = factorial(n)
     aut = {"aut_size": 1, "labeled_count": labelings} if count_automorphisms else {}
     entries = tuple(
         ClassEntry(canon, g.m, tuple(sorted(triangle_degrees(g), reverse=True)), **aut)
         for canon, g in sorted(by_canon.items())
     )
-    if len(hits) != labelings * len(entries):
-        raise CertificationError(
-            "order %d scan found %d labeled triangle-distinct graphs in %d classes, "
-            "not %d! = %d per class" % (n, len(hits), len(entries), n, labelings)
-        )
     return SearchReport(
         order=n,
-        labeled_count=visited,
-        candidates=candidates,
-        td_labeled=len(hits),
+        td_labeled=labelings * len(entries),
         td_classes=entries,
         min_edges=min((e.edges for e in entries), default=None),
         **fields,
@@ -601,26 +694,20 @@ def enumerate_td(
     regular_only: int | None = None,
     max_edges: int | None = None,
     workers: int | None = None,
-    allow_slow: bool = False,
     checkpoint_path=None,
     count_automorphisms: bool = False,
     chunk_limit: int | None = None,
     progress=None,
 ) -> SearchReport:
-    """Every labeled graph of order n, reported up to isomorphism.
+    """Every graph of order n, 2 <= n <= 9, reported up to isomorphism.
 
-    2 <= n <= 9; n = 9 is 2^36 graphs and demands allow_slow=True.
-    chunk_limit stops cooperatively after that many chunks (checkpoint_path
-    required), raising SearchInterrupted exactly like an external interrupt;
-    it exists for tests and schedulers, not for normal runs.
+    chunk_limit stops cooperatively after that many extension slices
+    (checkpoint_path required), raising SearchInterrupted exactly like an
+    external interrupt; it exists for tests and schedulers, not for normal
+    runs.
     """
     if not 2 <= n <= 9:
         raise ValueError("enumeration supports orders 2..9, got %d" % n)
-    if n == 9 and not allow_slow:
-        raise ValueError(
-            "order 9 enumerates 2^36 labeled graphs; pass allow_slow=True "
-            "(and preferably a checkpoint path) to run it"
-        )
     if chunk_limit is not None and not checkpoint_path:
         raise ValueError("chunk_limit without checkpoint_path would lose the partial scan")
     if regular_only is not None and not 0 <= regular_only < n:
@@ -628,9 +715,9 @@ def enumerate_td(
     if max_edges is not None and max_edges < 0:
         # checkpoints write "no cap" as max_edges=-1
         raise ValueError("max_edges must be >= 0, got %d" % max_edges)
-    visited, candidates, hits = _enumerate_range(
+    classes = _scan(
         n,
-        regular_only=regular_only,
+        regular_d=regular_only,
         max_edges=max_edges,
         workers=workers,
         checkpoint_path=checkpoint_path,
@@ -639,10 +726,10 @@ def enumerate_td(
     )
     return _report(
         n,
-        visited,
-        candidates,
-        hits,
+        classes,
         count_automorphisms,
+        labeled_count=1 << (n * (n - 1) // 2),
+        candidates=_candidates(n, regular_only, max_edges),
         regular_only=regular_only,
         max_edges=max_edges,
     )
@@ -665,12 +752,12 @@ def probe_regular(
     n: int,
     *,
     workers: int | None = None,
-    allow_slow: bool = False,
     checkpoint_path=None,
     count_automorphisms: bool = False,
     progress=None,
 ) -> SearchReport:
-    """Exhaust every feasible regular degree of order n for TD witnesses.
+    """Exhaust every feasible regular degree of order n, 2 <= n <= 9, for TD
+    witnesses.
 
     The degree window comes from the structural bounds; degrees outside it
     cannot carry a regular triangle-distinct graph, so they are not scanned.
@@ -679,21 +766,18 @@ def probe_regular(
     """
     if not 2 <= n <= 9:
         raise ValueError("probe supports orders 2..9, got %d" % n)
-    if n == 9 and not allow_slow:
-        raise ValueError("order 9 probes enumerate 2^36 counters per degree; pass allow_slow=True")
     degrees = regular_window_degrees(n)
-    visited = candidates = 0
-    hits = []
+    classes = {}
     for d in degrees:
         ckpt = ("%s.d%d" % (checkpoint_path, d)) if checkpoint_path else None
-        v, c, h = _enumerate_range(
-            n,
-            regular_only=d,
-            workers=workers,
-            checkpoint_path=ckpt,
-            progress=progress,
+        classes.update(
+            _scan(n, regular_d=d, workers=workers, checkpoint_path=ckpt, progress=progress)
         )
-        visited += v
-        candidates += c
-        hits.extend(h)
-    return _report(n, visited, candidates, hits, count_automorphisms, regular_degrees=degrees)
+    return _report(
+        n,
+        classes,
+        count_automorphisms,
+        labeled_count=len(degrees) << (n * (n - 1) // 2),
+        candidates=sum(_regular_count(n, d) for d in degrees),
+        regular_degrees=degrees,
+    )

@@ -4,14 +4,19 @@ Everything here recomputes graph quantities from first principles with
 sets, explicit loops, and itertools, deliberately avoiding the bitmask
 shortcuts used by the library, so a wrong shortcut cannot confirm
 itself.  Only the documented Graph fields (n, rows) are read, one bit
-at a time.
+at a time.  The exception is the labeled counter scan at the end, which
+the search used before it extended unlabeled graphs: it shares the
+search's extension test, walks every labeled graph, and is itself checked
+against the one-counter-at-a-time scan_chunk_slow.
 """
 
 import decimal
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
-from trideg.graphs import Graph, is_triangle_distinct, pair_list
+from trideg.graphs import Graph, is_triangle_distinct, pair_list, triangle_degrees_rows
+from trideg.search import _extends_td, _extensions
 
 
 def edge_set(g):
@@ -199,3 +204,97 @@ def scan_chunk_slow(args):
         if is_triangle_distinct(Graph._trusted(n, rows)):
             hits.append(x)
     return len(range(start, end)), candidates, hits
+
+
+# ---------------------------------------------------------------------------
+# the retired labeled counter scan, kept as the n <= 8 oracle of the search
+
+
+def chunk_size(nbits):
+    """Counters per chunk of the labeled scan of C(n,2) = nbits pairs."""
+    return 1 << 24 if nbits > 28 else 1 << 16
+
+
+def scan_chunk(args):
+    """Scan counters [start, end) of the labeled graphs of order n; return
+    (visited, candidates, hit counters) like scan_chunk_slow, which checks it.
+
+    Bits 0..n-2 of a counter are the pairs (0, 1..n-1), so a counter is
+    hi * 2^(n-1) + lo, where hi encodes H = G - 0 on vertices 1..n-1 and lo
+    vertex 0's neighbourhood N.  The range must be aligned to 2^(n-1)
+    counters, one block per H; an unaligned one raises ValueError.  Each H is
+    extended by the search's own _extensions and _extends_td.
+    """
+    n, start, end, regular_d, max_edges = args
+    k = n - 1
+    if start % (1 << k) or end % (1 << k):
+        raise ValueError(
+            "scan range [%d, %d) is not aligned to 2^%d counters" % (start, end, k)
+        )
+    pairs = pair_list(n)[k:]  # H's pairs, in G's labels: hi bit b is pairs[b]
+    bi = tuple(p[0] for p in pairs)
+    bj = tuple(p[1] for p in pairs)
+    mi = tuple(1 << p[0] for p in pairs)
+    mj = tuple(1 << p[1] for p in pairs)
+    # with_room[s]: how many N have at most s vertices
+    with_room = [sum(comb(k, i) for i in range(s + 1)) for s in range(k + 1)]
+    extensions = {}  # tie partition of H's triangle degrees -> _extensions
+    hits = []
+    candidates = 0
+    for hi in range(start >> k, end >> k):
+        rows = [0] * n
+        w = hi
+        while w:
+            low = w & -w
+            b = low.bit_length() - 1
+            rows[bi[b]] |= mj[b]
+            rows[bj[b]] |= mi[b]
+            w ^= low
+        room = k if max_edges is None else min(k, max_edges - hi.bit_count())
+        if room < 0:
+            continue
+        base = hi << k
+        if regular_d is not None:
+            nbhd = 0
+            for v in range(1, n):
+                deg = rows[v].bit_count()
+                if deg == regular_d - 1:
+                    nbhd |= 1 << v
+                elif deg != regular_d:
+                    break
+            else:
+                if nbhd.bit_count() == regular_d <= room:
+                    candidates += 1
+                    if _extends_td(rows, triangle_degrees_rows(rows), nbhd):
+                        hits.append(base | nbhd >> 1)
+            continue
+        candidates += with_room[room]
+        t_h = triangle_degrees_rows(rows)
+        classes = {}
+        for v in range(1, n):
+            classes[t_h[v]] = classes.get(t_h[v], 0) | 1 << v
+        key = tuple(classes.values())
+        todo = extensions.get(key)
+        if todo is None:
+            todo = extensions[key] = _extensions(key)
+        for nbhd in todo:
+            if nbhd.bit_count() <= room and _extends_td(rows, t_h, nbhd):
+                hits.append(base | nbhd >> 1)
+    return end - start, candidates, hits
+
+
+def chunks(n):
+    """The labeled scan's chunks of order n, as (start, end) pairs."""
+    total = 1 << (n * (n - 1) // 2)
+    size = min(chunk_size(n * (n - 1) // 2), total)
+    return [(s, s + size) for s in range(0, total, size)]
+
+
+def write_counter_checkpoint(path, config, cursor, visited, candidates, hit_lines):
+    """A checkpoint file in the labeled scan's format (magic line
+    'trideg-checkpoint v1'); hit_lines are the hits' graph6 strings."""
+    fields = dict(config, cursor=cursor, visited=visited, candidates=candidates)
+    lines = ["trideg-checkpoint v1"] + ["%s=%d" % kv for kv in fields.items()]
+    lines += ["hits:"] + hit_lines
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import oracles
+import trideg.bounds as bounds
 import trideg.cli as cli
 import trideg.search as search
 from trideg.bounds import BoundEntry, BoundsReport
@@ -150,11 +152,18 @@ def test_search_stdout_byte_deterministic(capsys):
 
 
 def test_search_domain_errors(capsys):
-    code, _, err = run(["search", "--n", "12", "--quiet"], capsys)
+    for n in ("12", "10", "1"):
+        code, _, err = run(["search", "--n", n, "--quiet"], capsys)
+        assert code == 2
+        assert "orders 2..9" in err
+    code, _, err = run(["search", "--n", "10", "--regular", "--quiet"], capsys)
     assert code == 2
-    code, _, err = run(["search", "--n", "9", "--quiet"], capsys)
-    assert code == 2
-    assert "long" in err.lower()
+    assert "orders 2..9" in err
+    # order 9 needs no gate flag any more; the flag itself is gone
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["search", "--n", "9", "--long-run"])
+    assert ei.value.code == 2
+    capsys.readouterr()
 
 
 def test_search_negative_max_edges_is_exit_2(capsys):
@@ -299,18 +308,14 @@ def test_check_unwritable_json_is_exit_3(capsys, tmp_path, g7):
     assert str(target) in err
 
 
-# A checkpoint for `search --n 5`: one chunk of 2^10 counters, nothing scanned.
+# A checkpoint for `search --n 5`: no slice extended, no class found.
 _CKPT_HEADER = [
-    "trideg-checkpoint v1",
+    "trideg-checkpoint v2",
     "order=5",
     "regular=-1",
     "max_edges=-1",
-    "range_start=0",
-    "range_end=1024",
     "cursor=0",
-    "visited=0",
-    "candidates=0",
-    "hits:",
+    "classes:",
 ]
 
 
@@ -321,30 +326,60 @@ def _resume(capsys, tmp_path, lines):
     return (*run(argv, capsys), str(ckpt))
 
 
-def test_checkpoint_resumes_with_old_prune_line(capsys, tmp_path):
+def test_checkpoint_resumes(capsys, tmp_path):
     _, fresh, _ = run(["search", "--n", "5", "--workers", "1", "--quiet"], capsys)
-    code, out, _, _ = _resume(capsys, tmp_path, _CKPT_HEADER[:4] + ["prune=1"] + _CKPT_HEADER[4:])
+    code, out, _, path = _resume(capsys, tmp_path, _CKPT_HEADER)
     assert code == 0 and out == fresh
+    code, out, _, path = _resume(capsys, tmp_path, _CKPT_HEADER[:4] + ["prune=1"] + _CKPT_HEADER[4:])
+    assert code == 0 and out == fresh  # unknown header keys are ignored
+
+
+def test_checkpoint_counter_format_is_exit_3(capsys, tmp_path):
+    # a checkpoint of the retired labeled counter scan cannot be resumed
+    ckpt = tmp_path / "scan.ckpt"
+    config = {"order": 5, "regular": -1, "max_edges": -1, "range_start": 0, "range_end": 1024}
+    oracles.write_counter_checkpoint(str(ckpt), config, 0, 0, 0, [])
+    argv = ["search", "--n", "5", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert str(ckpt) in err and "old counter format" in err
+    assert ckpt.exists()  # left for the user to delete
 
 
 def test_checkpoint_non_integer_value_is_exit_3(capsys, tmp_path):
     lines = [ln.replace("cursor=0", "cursor=abc") for ln in _CKPT_HEADER]
     code, _, err, path = _resume(capsys, tmp_path, lines)
     assert code == 3
-    assert path in err and "line 7" in err and "cursor=abc" in err
+    assert path in err and "line 5" in err and "cursor=abc" in err
 
 
 def test_checkpoint_missing_key_is_exit_3(capsys, tmp_path):
-    lines = [ln for ln in _CKPT_HEADER if not ln.startswith("visited=")]
+    lines = [ln for ln in _CKPT_HEADER if not ln.startswith("cursor=")]
     code, _, err, path = _resume(capsys, tmp_path, lines)
     assert code == 3
-    assert path in err and "visited" in err
+    assert path in err and "cursor" in err
 
 
 def test_checkpoint_undecodable_hit_is_exit_3(capsys, tmp_path):
-    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D??", "D\x7f!"])
+    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D\x7f! 1"])
     assert code == 3
-    assert path in err and "line 12" in err
+    assert path in err and "line 7" in err
+
+
+def test_checkpoint_non_distinct_class_is_exit_3(capsys, tmp_path):
+    # D?? decodes (the empty graph of order 5) but is no triangle-distinct class
+    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D?? 1"])
+    assert code == 3
+    assert path in err and "line 7" in err and "not triangle-distinct" in err
+
+
+def test_checkpoint_not_ascii_is_exit_3(capsys, tmp_path):
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_bytes("\n".join(_CKPT_HEADER).encode() + b"\n\xff\n")
+    argv = ["search", "--n", "5", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert str(ckpt) in err and "ASCII" in err
 
 
 def test_checkpoint_config_mismatch_stays_exit_2(capsys, tmp_path):
@@ -354,32 +389,47 @@ def test_checkpoint_config_mismatch_stays_exit_2(capsys, tmp_path):
     assert path in err and "max_edges" in err
 
 
-def test_search_miscounted_classes_is_exit_4(capsys, monkeypatch):
-    def one_hit(args):
-        _, start, end, _, _ = args
-        return end - start, end - start, [start]  # one labeling, one class
+def test_search_miscounted_classes_is_exit_4(capsys, monkeypatch, g7):
+    # the order-7 class hit once, not sum_v |Aut(G - v)| times
+    calls = []
 
-    monkeypatch.setattr(search, "_scan_chunk", one_hit)
+    def one_hit(args):
+        calls.append(args)
+        return [g7.graph.rows] if len(calls) == 1 else []
+
+    monkeypatch.setattr(search, "_extend_slice", one_hit)
     with pytest.raises(CertificationError):
-        search.enumerate_td(5, workers=1)
-    code, out, err = run(["search", "--n", "5", "--workers", "1", "--quiet"], capsys)
+        search.enumerate_td(7, workers=1)
+    calls.clear()
+    code, out, err = run(["search", "--n", "7", "--workers", "1", "--quiet"], capsys)
     assert code == 4 and out == ""
-    assert "certification" in err
+    assert "certification" in err and "sum_v |Aut(G - v)|" in err
 
 
 def test_checkpoint_cursor_off_chunk_grid_is_exit_3(capsys, tmp_path):
-    lines = [ln.replace("cursor=0", "cursor=512") for ln in _CKPT_HEADER]
-    lines = [ln.replace("visited=0", "visited=512") for ln in lines]
-    code, _, err, path = _resume(capsys, tmp_path, lines)
-    assert code == 3
-    assert path in err and "cursor=512" in err
+    # an order-5 extension runs in one slice, so the cursor is 0 or 1
+    for cursor in ("2", "-1"):
+        lines = [ln.replace("cursor=0", "cursor=" + cursor) for ln in _CKPT_HEADER]
+        code, _, err, path = _resume(capsys, tmp_path, lines)
+        assert code == 3
+        assert path in err and "cursor=" + cursor in err
 
 
-def test_checkpoint_visited_off_cursor_is_exit_3(capsys, tmp_path):
-    lines = [ln.replace("visited=0", "visited=7") for ln in _CKPT_HEADER]
-    code, _, err, path = _resume(capsys, tmp_path, lines)
-    assert code == 3
-    assert path in err and "visited=7" in err
+def test_checkpoint_bad_hit_count_is_exit_3(capsys, tmp_path, g7):
+    header = [ln.replace("order=5", "order=7") for ln in _CKPT_HEADER]
+    ckpt = tmp_path / "scan.ckpt"
+    argv = ["search", "--n", "7", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
+    cases = (
+        ("FBnnw 0", 7, "hit count 0"),
+        ("FBnnw x", 7, "expected '<graph6> <hits>'"),
+        ("FBnnw", 7, "expected '<graph6> <hits>'"),
+        ("FBnnw 2\n%s 1" % encode(g7.graph), 8, "repeats the class of FBnnw"),
+    )
+    for line, lineno, why in cases:
+        ckpt.write_text("\n".join(header + [line]) + "\n")
+        code, _, err = run(argv, capsys)
+        assert code == 3, line
+        assert str(ckpt) in err and "line %d" % lineno in err and why in err
 
 
 def test_progress_does_not_change_report_bytes(capsys, tmp_path):
@@ -388,7 +438,7 @@ def test_progress_does_not_change_report_bytes(capsys, tmp_path):
     assert code == 0 and quiet_err == ""
     code, loud_out, loud_err = run(argv, capsys)
     assert code == 0 and loud_out == quiet_out
-    assert loud_err.splitlines()[-1].startswith("scanned 32768 / 32768 counters")
+    assert loud_err.splitlines()[-1].startswith("extended 34 / 34 graphs")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(argv + ["--quiet", "--json", str(a)], capsys)[0] == 0
     assert run(argv + ["--json", str(b)], capsys)[0] == 0
@@ -404,12 +454,33 @@ def test_progress_is_rate_limited(capsys):
         progress(k << 12, total)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 6  # one a second, then the final one
-    assert lines[-1].startswith("scanned %d / %d counters, " % (total, total))
-    assert "counters/s, ETA 0 s" in lines[-1]
+    assert lines[-1].startswith("extended %d / %d graphs, " % (total, total))
+    assert "graphs/s, ETA 0 s" in lines[-1]
     # a probe's next degree starts a new scan at a lower cursor
     now[0] += 0.02
     progress(1 << 12, total)
     now[0] += 2.0
     progress(1 << 13, total)
     line = capsys.readouterr().err.strip()
-    assert line == "scanned 8192 / 1048576 counters, 2048 counters/s, ETA 508 s"
+    assert line == "extended 8192 / 1048576 graphs, 2048 graphs/s, ETA 508 s"
+
+
+def test_check_tests_each_graph_once(capsys, monkeypatch, tmp_path, g7, family40):
+    # one triangle-distinctness test per input graph, whether it is
+    # triangle-distinct or not, wherever the CLI and the bounds call it
+    graphs = [g7.graph, cycle_graph(5), family40[20].graph, complete_graph(4)]
+    src = tmp_path / "graphs.g6"
+    src.write_text("".join(encode(g) + "\n" for g in graphs))
+    calls = []
+    real = bounds.is_triangle_distinct
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(bounds, "is_triangle_distinct", counted)
+    monkeypatch.setattr(cli, "is_triangle_distinct", counted)
+    code, out, _ = run(["check", "--in", str(src)], capsys)
+    assert code == 0
+    assert out.count("bounds hold") == 2 and out.count("not triangle-distinct") == 2
+    assert calls == graphs
