@@ -10,10 +10,13 @@ iff A^2 > B^2*C, so for example the edge lower bound
 expands via (sqrt(2n) - 2)^3 = (2n + 12) sqrt(2n) - (12n + 8) into the exact
 integer test  (6 e + 12 n + 8)^2 > 8 n (n + 6)^2.  The one family of bounds
 that cannot be rationalized, sums of terms (4cn)^(1 - 1/2^i), is evaluated
-with directed rounding: each term is rounded UP to an integer (an iterated
-integer square root gives the exact ceiling while the powers stay
-representable, and the term's limit 4cn caps it beyond that), so a reported
-violation is always a true violation, never a rounding artifact.
+with directed rounding: 4cn is rounded UP to an integer base, and each term
+base^(1 - 1/2^i) is replaced by its exact ceiling, so a reported violation
+is always a true violation, never a rounding artifact.  The ceilings come
+from the recurrence t_i = sqrt(base * t_(i-1)) carried in fixed point with
+a floor and a ceiling, with more precision wherever the two round up
+differently; from 2^i > (base-1)^2 on the ceiling is base itself.  No term
+is capped, at any size.
 
 The checked bounds, for a triangle-distinct graph G of order n, size e, with
 complement size ebar and c = ebar/n:
@@ -28,7 +31,10 @@ complement size ebar and c = ebar/n:
   census_bound       r_t <= sum_{i=0..t} (4cn)^(1 - 1/2^i) for every degree
                      class, where r_t is the largest set of vertices of
                      complement degree k-1 sharing >= k-1-t common complement
-                     neighbors (computed exactly by branch and bound)
+                     neighbors (branch and bound within one node budget
+                     per graph; unless a set above the bound was found, a
+                     search the budget stops makes the entry indeterminate,
+                     with its lower bound on r_t in extra["unfinished"])
   degree_class_bound given e(G) >= C(n,2) - c n: the number of vertices of
                      degree n-k is at most k (4cn)^(1 - 1/2^(k-1))
 
@@ -55,13 +61,13 @@ from .graphs import Graph, complement, is_triangle_distinct
 from .graphs import triangle_degrees  # noqa: F401  bench/tracing.py wraps bounds.triangle_degrees
 
 
+# Fractional bits the term chain starts with; it doubles them as needed.
+_TERM_BITS = 64
+
+
 class NotTriangleDistinct(ValueError):
     """A bound that applies to triangle-distinct graphs only was asked about
     a graph that is not one."""
-
-
-# Largest intermediate power, in bits, the exact ceiling path may build.
-_EXACT_POWER_BITS = 200_000
 
 
 @dataclass(frozen=True)
@@ -125,22 +131,35 @@ class BoundsReport:
 # the irrational terms, rounded up
 
 
-def _term_ceil(base: int, i: int) -> int:
-    """Integer upper bound on base^(1 - 1/2^i) for base >= 1, exact ceiling
-    whenever the intermediate power base^(2^i - 1) stays representable,
-    else the sound cap base itself (the term increases toward base)."""
+def _term_table(base: int, count: int) -> list[int]:
+    """[ceil(base^(1 - 1/2^i)) for i in range(count)], exactly, for base >= 1.
+
+    The terms follow t_0 = 1, t_i = sqrt(base * t_(i-1)).  The chain
+    carries a floor and a ceiling of t_i * 2^p, and a term is their common
+    ceiling.  If base is a perfect 2^i-th power, t_0..t_i are integers and
+    the chain is exact through t_i; otherwise t_i is irrational, so when
+    the two ceilings differ the chain is redone with p doubled until they
+    agree.  From 2^i > (base-1)^2 on every term rounds up to base, because
+    (1 + 1/(base-1))^(2^i) >= 1 + 2^i/(base-1) > base puts t_i above
+    base - 1.
+    """
     if base < 1:
         raise ValueError("term base must be a positive integer")
-    if i == 0 or base == 1:
-        return 1
-    e = (1 << i) - 1
-    if e * base.bit_length() > _EXACT_POWER_BITS:
-        return base
-    x = base**e
-    f = x
-    for _ in range(i):
-        f = isqrt(f)
-    return f if f ** (1 << i) == x else f + 1
+    stop = min(count, ((base - 1) ** 2).bit_length())  # 2^stop > (base-1)^2
+    p = _TERM_BITS
+    while True:
+        table = [1][:count]
+        lo = hi = 1 << p
+        for _ in range(1, stop):
+            lo = isqrt(base * lo << p)
+            hi = isqrt((base * hi << p) - 1) + 1
+            term = -(-lo >> p)
+            if term != -(-hi >> p):
+                break
+            table.append(term)
+        else:
+            return table + [base] * (count - len(table))
+        p *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +193,7 @@ class _Facts:
 
     @cached_property
     def terms(self) -> list[int]:
-        return [_term_ceil(self.base, i) for i in range(self.n)]
+        return _term_table(self.base, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +328,31 @@ def check_planarity_edge_excess(g: Graph) -> BoundEntry:
 # common-neighbor census
 
 
-def _max_common_subset(nbrs, threshold: int, universe: int, best0: int = 0) -> int:
-    """Largest subset of the listed neighborhoods whose intersection has at
-    least `threshold` bits.  Branch and bound: the intersection only shrinks
-    along a branch, and a branch that cannot beat the best is cut."""
+# Search nodes one census_bound evaluation may visit over all its (k, t)
+# pairs; no member of the constructed family 7..200 needs more than 210.
+_CENSUS_NODE_BUDGET = 1_000_000
+
+
+class _OutOfNodes(Exception):
+    """A census search used up its node budget."""
+
+
+def _max_common_subset(nbrs, threshold: int, universe: int, best0: int = 0, budget=None):
+    """(size, finished): the largest subset of the listed neighborhoods whose
+    intersection has at least `threshold` bits.  Branch and bound: the
+    intersection only shrinks along a branch, and a branch that cannot beat
+    the best is cut.  budget, a one-item list, holds the search nodes left
+    and is drawn down; a search that empties it stops unfinished, and its
+    size is then only a lower bound."""
     s = len(nbrs)
     best = best0
 
     def dfs(idx: int, count: int, inter: int):
         nonlocal best
+        if budget is not None:
+            if not budget[0]:
+                raise _OutOfNodes
+            budget[0] -= 1
         if count > best:
             best = count
         for i in range(idx, s):
@@ -327,8 +362,11 @@ def _max_common_subset(nbrs, threshold: int, universe: int, best0: int = 0) -> i
             if m2.bit_count() >= threshold:
                 dfs(i + 1, count + 1, m2)
 
-    dfs(0, 0, universe)
-    return best
+    try:
+        dfs(0, 0, universe)
+    except _OutOfNodes:
+        return best, False
+    return best, True
 
 
 def common_neighbor_census(g: Graph, k: int, t: int) -> int:
@@ -346,32 +384,37 @@ def common_neighbor_census(g: Graph, k: int, t: int) -> int:
     if not 0 <= t <= k - 1:
         raise ValueError("t must be in 0..%d, got %d" % (k - 1, t))
     f = _Facts(g, "common-neighbor census")
-    return _max_common_subset(f.comp_classes[k - 1], k - 1 - t, (1 << n) - 1)
+    return _max_common_subset(f.comp_classes[k - 1], k - 1 - t, (1 << n) - 1)[0]
 
 
 def _census_bound(f: _Facts) -> BoundEntry:
     full = (1 << f.n) - 1
     prefix = list(accumulate(f.terms))  # bound sums, shared across every (k, t)
+    budget = [_CENSUS_NODE_BUDGET]  # shared by every search of this graph
     pairs_checked = 0
     worst = None  # (slack, k, t, r, bound); violated iff its slack > 0
+    unfinished = []  # the same tuples for searches the budget stopped
     for k, nbrs in enumerate(f.comp_classes, 1):
         s = len(nbrs)
         if s == 0:
             continue
         r_prev = 0
         for t in range(k):
+            finished = True
             if s == 1:
                 r = 1
             elif t == k - 1:
                 r = s
             else:
-                r = _max_common_subset(nbrs, k - 1 - t, full, r_prev)
+                r, finished = _max_common_subset(nbrs, k - 1 - t, full, r_prev, budget)
             r_prev = r
             bound = prefix[t]
             pairs_checked += 1
-            slack = r - bound
-            if worst is None or slack > worst[0]:
-                worst = (slack, k, t, r, bound)
+            pair = (r - bound, k, t, r, bound)
+            if worst is None or pair[0] > worst[0]:
+                worst = pair
+            if not finished:
+                unfinished.append(pair)
     extra = {"c": f.c, "four_cn_ceil": f.base, "pairs_checked": pairs_checked}
     if worst is not None:
         extra["worst"] = {
@@ -380,12 +423,26 @@ def _census_bound(f: _Facts) -> BoundEntry:
             "r": worst[3],
             "bound": worst[4],
         }
+    if unfinished:
+        _, k, t, r, bound = max(unfinished, key=lambda pair: pair[0])
+        extra["unfinished"] = {
+            "pairs": len(unfinished),
+            "node_budget": _CENSUS_NODE_BUDGET,
+            "k": k,
+            "t": t,
+            "r_at_least": r,
+            "bound": bound,
+        }
+    if worst and worst[0] > 0:
+        status = "violated"
+    else:
+        status = "indeterminate" if unfinished else "holds"
     return BoundEntry(
         name="census_bound",
         observed=worst[3] if worst else 0,
         threshold=worst[4] if worst else None,
         relation="<=",
-        status="violated" if worst and worst[0] > 0 else "holds",
+        status=status,
         note="r_t <= sum of (4cn)^(1-1/2^i), i=0..t, bound rounded up",
         extra=extra,
     )

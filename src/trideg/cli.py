@@ -15,10 +15,11 @@ retired-format checkpoints; messages name the file and line), 4 a certified
 claim failed (an identity, a certificate, a bound, or a search class's hit
 count), which always means a bug.
 
-Reports go to stdout, progress chatter to stderr (search progress at most
-once a second, with rate and ETA).  JSON is serialized with sorted keys and
-a fixed layout, so a report for a given configuration and seed is
-byte-identical no matter how many workers produced it.
+Reports go to stdout, progress chatter to stderr (search: one line before
+the levels are built, then progress at most once a second with rate and
+ETA, the first such line also with the time elapsed).  JSON is serialized
+with sorted keys and a fixed layout, so a report for a given configuration
+and seed is byte-identical no matter how many workers produced it.
 """
 
 import argparse
@@ -81,14 +82,15 @@ def _read_graph6_file(path):
 class _Progress:
     """The search commands' progress callback, called with the graphs of the
     last level extended so far and the level's size: a stderr line at most
-    once a second, and always at the end of a scan.  A probe scans once per
-    degree, so a count that moves backwards starts a new scan; the rate and
-    ETA are measured from a scan's first call, which also makes them right
-    for a resumed scan."""
+    once a second, and always at the end of a scan.  The first line also
+    gives the time since the callback was made, most of it spent building
+    the levels.  A probe scans once per degree, so a count that moves
+    backwards starts a new scan; the rate and ETA are measured from a scan's
+    first call, which also makes them right for a resumed scan."""
 
     def __init__(self, clock=time.monotonic):
         self.clock = clock
-        self.last = clock()
+        self.start = self.last = clock()  # start: None once a line is printed
         self.first = None  # (time, cursor) of the current scan's first call
         self.cursor = None
 
@@ -105,6 +107,9 @@ class _Progress:
         if now > t0 and cursor > c0:
             rate = (cursor - c0) / (now - t0)
             line += ", %.0f graphs/s, ETA %.0f s" % (rate, (total - cursor) / rate)
+        if self.start is not None:
+            line += ", %.1f s elapsed" % (now - self.start)
+            self.start = None
         print(line, file=sys.stderr, flush=True)
 
 
@@ -182,6 +187,12 @@ def _cmd_check(args) -> int:
                     % (lineno, [e.name for e in report.violations]),
                     flush=True,
                 )
+            elif any("unfinished" in e.extra for e in report.entries):
+                print(
+                    "line %d: n=%d m=%d triangle-distinct, no violation found, "
+                    "census_bound undecided within its search budget" % (lineno, g.n, g.m),
+                    flush=True,
+                )
             else:
                 print(
                     "line %d: n=%d m=%d triangle-distinct, bounds hold" % (lineno, g.n, g.m),
@@ -213,7 +224,11 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    progress = None if args.quiet else _Progress()
+    progress = None
+    if not args.quiet:
+        progress = _Progress()
+        if 2 <= args.n <= 9:  # the orders the search accepts
+            print("building the graphs of orders 1..%d" % (args.n - 1), file=sys.stderr, flush=True)
     try:
         if args.regular:
             report = probe_regular(

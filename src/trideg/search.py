@@ -51,8 +51,10 @@ Orders 2..9 are supported; order 9 takes about a minute, most of it in
 canonical labeling of the 133,632 children that make level 8.  A scan can
 checkpoint after every extension slice to a plain-text file holding the
 slices done and one graph6 representative and hit count per class found so
-far; an interruption surfaces as SearchInterrupted, and rerunning the same
-call rebuilds the levels and resumes from the file.
+far, closed by a CRC-32 line over everything before it, so an edited file
+is refused as malformed rather than failing certification.  An
+interruption surfaces as SearchInterrupted, and rerunning the same call
+rebuilds the levels and resumes from the file.
 
 Canonical forms are brute force, capped at order 9: the lexicographically
 smallest graph6 body over the vertex orderings that list degrees ascending
@@ -62,6 +64,7 @@ is the same relation as isomorphism, which is all the de-duplication needs.
 """
 
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -493,26 +496,36 @@ def _class_key(g: Graph) -> int:
 
 _CKPT_MAGIC = "trideg-checkpoint v2"
 _CKPT_COUNTER_MAGIC = "trideg-checkpoint v1"  # the retired labeled counter scan
+_CKPT_SUM = "crc32 "
 
 
 def _write_checkpoint(path, config, cursor, classes):
     """Replace the checkpoint file: the slices done, then one line per class,
-    '<graph6 representative> <hits>'."""
+    '<graph6 representative> <hits>', then 'crc32 <8 hex digits>', the
+    CRC-32 of all the bytes before that last line."""
     lines = [_CKPT_MAGIC] + ["%s=%d" % kv for kv in dict(config, cursor=cursor).items()]
     lines.append("classes:")
     lines += ["%s %d" % (graph6.encode(g), hits) for g, hits in classes.values()]
+    body = "\n".join(lines) + "\n"
     tmp = "%s.tmp.%d" % (path, os.getpid())
     with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(body + _CKPT_SUM + _digest(body) + "\n")
     os.replace(tmp, path)
+
+
+def _digest(body: str) -> str:
+    # CRC-32 from zlib, not hashlib: importing hashlib loads OpenSSL, which
+    # adds about 4 MB to the peak RSS of a search
+    return "%08x" % zlib.crc32(body.encode("ascii"))
 
 
 def _read_checkpoint(path, config):
     """(cursor, classes) from a checkpoint file, classes as _scan keeps them.
 
     A malformed file raises CheckpointError naming the file and the field or
-    line: text that is not ASCII, a missing or non-integer field, a cursor
-    that is not a slice count, a class line that does not decode to a
+    line: text that is not ASCII, a missing or wrong checksum line (an
+    edited, damaged or cut-short file), a missing or non-integer field, a
+    cursor that is not a slice count, a class line that does not decode to a
     triangle-distinct graph of the run's order or repeats a class, or a hit
     count below 1.  A file of the retired counter format says so.  A
     well-formed file written for another configuration raises a plain
@@ -521,9 +534,10 @@ def _read_checkpoint(path, config):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("ascii").splitlines()
+        text = data.decode("ascii")
     except UnicodeDecodeError:
         raise CheckpointError("checkpoint %s is not ASCII text" % path) from None
+    lines = text.splitlines()
     if lines and lines[0] == _CKPT_COUNTER_MAGIC:
         raise CheckpointError(
             "checkpoint %s is in the old counter format (%s), which this version "
@@ -531,6 +545,15 @@ def _read_checkpoint(path, config):
         )
     if not lines or lines[0] != _CKPT_MAGIC:
         raise CheckpointError("not a checkpoint file: %s" % path)
+    head, _, last = text.removesuffix("\n").rpartition("\n")
+    if not last.startswith(_CKPT_SUM):
+        raise CheckpointError(
+            "checkpoint %s has no checksum line: it was cut short or written by an "
+            "older version; delete it to scan afresh" % path
+        )
+    if last != _CKPT_SUM + _digest(head + "\n"):
+        raise CheckpointError("checkpoint %s does not match its checksum: it was edited or damaged" % path)
+    lines = head.splitlines()
     if "classes:" not in lines:
         raise CheckpointError("checkpoint %s has no 'classes:' line" % path)
     end = lines.index("classes:")

@@ -11,6 +11,7 @@ against the one-counter-at-a-time scan_chunk_slow.
 """
 
 import decimal
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -148,8 +149,6 @@ def edge_bound_truth(n, e):
     """Whether 2e > (1/3)(sqrt(2n) - 2)^3, settled without the library's
     rationalized restatement.  Exact when 2n is a perfect square, 60-digit
     decimal otherwise (the right side is then irrational, so no tie)."""
-    import math
-
     s = math.isqrt(2 * n)
     if s * s == 2 * n:
         return Fraction(2 * e) > Fraction((s - 2) ** 3, 3)
@@ -165,6 +164,19 @@ def power_term_exact(base, i):
     b = decimal.Decimal(base)
     exponent = 1 - decimal.Decimal(1) / (1 << i)
     return ctx.power(b, exponent)
+
+
+def term_ceil_power(base, i):
+    """ceil(base ** (1 - 1/2**i)) for base >= 1 from the exact power
+    base ** (2**i - 1) by i integer square roots, the computation the
+    bounds' term table replaced; its cost grows with the power's size."""
+    if i == 0 or base == 1:
+        return 1
+    x = base ** ((1 << i) - 1)
+    f = x
+    for _ in range(i):
+        f = math.isqrt(f)
+    return f if f ** (1 << i) == x else f + 1
 
 
 def scan_chunk_slow(args):

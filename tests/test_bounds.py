@@ -1,5 +1,5 @@
-import decimal
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,7 @@ import oracles
 import trideg.bounds as bounds
 from trideg.bounds import (
     _ALL_CHECKS,
-    _term_ceil,
+    _term_table,
     BoundEntry,
     check_all,
     check_census_bounds,
@@ -171,6 +171,41 @@ def test_census_bound_worst_case_on_seed(g7):
     assert entry.extra["worst"] == {"k": 1, "t": 0, "r": 1, "bound": 1}
 
 
+def test_census_budget_makes_unfinished_searches_indeterminate(monkeypatch, family40):
+    g = family40[40].graph
+    full = check_census_bounds(g)
+    assert full.status == "holds" and "unfinished" not in full.extra
+    monkeypatch.setattr(bounds, "_CENSUS_NODE_BUDGET", 3)
+    cut = check_census_bounds(g)
+    assert cut.status == "indeterminate"
+    left = cut.extra["unfinished"]
+    assert left["pairs"] > 0 and left["node_budget"] == 3
+    assert left["r_at_least"] <= left["bound"]
+    assert left["r_at_least"] <= common_neighbor_census(g, left["k"], left["t"])
+    assert check_all(g).violations == ()
+    # the exact census takes no budget
+    assert common_neighbor_census(g, left["k"], left["t"]) == oracles.census_slow(g, left["k"], left["t"])
+
+
+def test_census_violation_found_within_budget_stands(monkeypatch, family40):
+    # bound sums 1, 1, then 40 and up: only a searched pair (k, 1) whose
+    # class holds two vertices with k - 2 common complement neighbors can
+    # exceed its bound, and construct(40) has one at k = 19
+    g = family40[40].graph
+    monkeypatch.setattr(bounds, "_term_table", lambda base, count: [1, 0] + [40] * (count - 2))
+    exact = check_census_bounds(g)
+    assert exact.status == "violated" and "unfinished" not in exact.extra
+    assert exact.extra["worst"] == {"k": 19, "t": 1, "r": 2, "bound": 1}
+    monkeypatch.setattr(bounds, "_CENSUS_NODE_BUDGET", 5)
+    entry = check_census_bounds(g)  # found before the budget ran out
+    assert entry.status == "violated" and entry.extra["unfinished"]["pairs"] > 0
+    assert entry.extra["worst"] == exact.extra["worst"]
+    monkeypatch.setattr(bounds, "_CENSUS_NODE_BUDGET", 3)
+    entry = check_census_bounds(g)  # the budget ran out first
+    assert entry.status == "indeterminate"
+    assert entry.extra["unfinished"]["k"] == 19 and entry.extra["unfinished"]["r_at_least"] == 1
+
+
 def test_degree_class_bound_precondition(g7):
     entry = check_degree_class_bound(g7.graph)
     assert entry.status == "holds"
@@ -184,14 +219,61 @@ def test_degree_class_bound_precondition(g7):
 
 def test_term_ceil_sound_and_tight():
     for base in (1, 2, 3, 10, 17, 100, 4096, 10**6):
-        for i in range(0, 13):
-            got = _term_ceil(base, i)
-            exact = oracles.power_term_exact(base, i)
-            assert decimal.Decimal(got) >= exact
-            # never rounds past the next integer above the true value
-            assert got <= int(exact) + 1
-    assert _term_ceil(5, 0) == 1  # exponent collapses to zero
-    assert _term_ceil(4, 50) == 4  # giant-exponent fallback keeps soundness
+        table = _term_table(base, 13)
+        assert len(table) == 13
+        for i, got in enumerate(table):
+            assert got == math.ceil(oracles.power_term_exact(base, i)), (base, i)
+    assert _term_table(5, 1) == [1]  # exponent collapses to zero
+    assert _term_table(4, 51)[50] == 4  # a giant exponent still has its exact ceiling
+    assert _term_table(7, 0) == []
+    with pytest.raises(ValueError):
+        _term_table(0, 3)
+
+
+def test_term_table_matches_exact_powers_on_family():
+    # every (base, i) of the criterion-7 family whose power base^(2^i - 1)
+    # has at most 400,000 bits, against the iterated integer square root
+    lengths = {}
+    for n in range(7, 201):
+        base = bounds._Facts(construct(n).graph).base
+        lengths[base] = max(lengths.get(base, 0), n)
+    checked = 0
+    for base, count in sorted(lengths.items()):
+        table = _term_table(base, count)
+        for i in range(count):
+            if ((1 << i) - 1) * (base.bit_length() - 1) >= 400_000:
+                break  # the power has more than 400,000 bits, and so do later ones
+            if (base ** ((1 << i) - 1)).bit_length() > 400_000:
+                break
+            assert table[i] == oracles.term_ceil_power(base, i), (base, i)
+            checked += 1
+    assert checked > 1000
+
+
+def test_term_table_shortcut_boundary():
+    # from the first i with 2^i > (base - 1)^2 on, every term is base; the
+    # last term before it comes from the chain and is still exact
+    for base in (2, 3, 5, 17, 100):
+        first = next(i for i in range(64) if 1 << i > (base - 1) ** 2)
+        table = _term_table(base, first + 2)
+        for i in range(max(first - 2, 0), first + 2):
+            assert table[i] == oracles.term_ceil_power(base, i), (base, i)
+        assert table[first] == table[first + 1] == base
+
+
+def test_term_table_perfect_powers_are_exact():
+    assert _term_table(2**16, 5)[4] == 2**15  # (2^16)^(15/16)
+    assert _term_table(3**8, 4)[3] == 3**7
+    assert _term_table(10**4, 3) == [1, 100, 1000]
+
+
+def test_term_table_refines_a_coarse_chain(monkeypatch):
+    # starting the chain with 1 or 3 fractional bits forces the two ceilings
+    # apart, and doubling the precision must still give every exact ceiling
+    for bits in (1, 3):
+        monkeypatch.setattr(bounds, "_TERM_BITS", bits)
+        for base in (2, 3, 10, 17, 100, 4096, 2**16, 39_600):
+            assert _term_table(base, 12) == [oracles.term_ceil_power(base, i) for i in range(12)], base
 
 
 def test_bounds_report_shape(g7):

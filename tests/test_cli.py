@@ -1,5 +1,6 @@
 import io
 import json
+import zlib
 
 import pytest
 
@@ -128,6 +129,19 @@ def test_check_violation_is_exit_4(capsys, tmp_path, monkeypatch, g7):
     assert code == 4
     assert "VIOLATION" in out
     assert "bug signal" in err
+
+
+def test_check_census_out_of_budget_is_undecided(capsys, tmp_path, monkeypatch, family40):
+    src = tmp_path / "g.g6"
+    src.write_text(encode(family40[40].graph) + "\n")
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(bounds, "_CENSUS_NODE_BUDGET", 3)
+    code, out, _ = run(["check", "--in", str(src), "--json", str(report)], capsys)
+    assert code == 0
+    assert "no violation found, census_bound undecided" in out and "bounds hold" not in out
+    entries = json.loads(report.read_text())["graphs"][0]["bounds"]["entries"]
+    (census,) = [e for e in entries if e["name"] == "census_bound"]
+    assert census["status"] == "indeterminate" and census["extra"]["unfinished"]["node_budget"] == 3
 
 
 def test_search_json_report(capsys, tmp_path):
@@ -319,9 +333,15 @@ _CKPT_HEADER = [
 ]
 
 
+def _checkpoint_text(lines):
+    """The checkpoint file holding these lines, closed by their checksum."""
+    body = "\n".join(lines) + "\n"
+    return body + "crc32 %08x\n" % zlib.crc32(body.encode())
+
+
 def _resume(capsys, tmp_path, lines):
     ckpt = tmp_path / "scan.ckpt"
-    ckpt.write_text("\n".join(lines) + "\n")
+    ckpt.write_text(_checkpoint_text(lines))
     argv = ["search", "--n", "5", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
     return (*run(argv, capsys), str(ckpt))
 
@@ -389,6 +409,36 @@ def test_checkpoint_config_mismatch_stays_exit_2(capsys, tmp_path):
     assert path in err and "max_edges" in err
 
 
+def test_checkpoint_without_checksum_is_exit_3(capsys, tmp_path):
+    # a checkpoint written before checkpoints carried a checksum line
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text("\n".join(_CKPT_HEADER) + "\n")
+    argv = ["search", "--n", "5", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert str(ckpt) in err and "no checksum line" in err
+
+
+def test_checkpoint_edited_hit_count_is_exit_3(capsys, tmp_path):
+    # a class line whose hit count was edited but stays >= 1 is well formed,
+    # so only the checksum tells it from the file the scan wrote
+    ckpt = tmp_path / "scan.ckpt"
+    with pytest.raises(SearchInterrupted):
+        search.enumerate_td(7, workers=1, checkpoint_path=str(ckpt), chunk_limit=20)
+    text = ckpt.read_text()
+    head, body = text.split("classes:\n")
+    (class_line, checksum) = body.splitlines()
+    assert class_line.endswith(" 1") and checksum.startswith("crc32 ")
+    ckpt.write_text("%sclasses:\n%s2\n%s\n" % (head, class_line[:-1], checksum))
+    argv = ["search", "--n", "7", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert str(ckpt) in err and "does not match its checksum" in err
+    ckpt.write_text(text)  # the file as written resumes
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["td_classes"][0]["graph6"] == "FBnnw"
+
+
 def test_search_miscounted_classes_is_exit_4(capsys, monkeypatch, g7):
     # the order-7 class hit once, not sum_v |Aut(G - v)| times
     calls = []
@@ -426,7 +476,7 @@ def test_checkpoint_bad_hit_count_is_exit_3(capsys, tmp_path, g7):
         ("FBnnw 2\n%s 1" % encode(g7.graph), 8, "repeats the class of FBnnw"),
     )
     for line, lineno, why in cases:
-        ckpt.write_text("\n".join(header + [line]) + "\n")
+        ckpt.write_text(_checkpoint_text(header + [line]))
         code, _, err = run(argv, capsys)
         assert code == 3, line
         assert str(ckpt) in err and "line %d" % lineno in err and why in err
@@ -438,7 +488,10 @@ def test_progress_does_not_change_report_bytes(capsys, tmp_path):
     assert code == 0 and quiet_err == ""
     code, loud_out, loud_err = run(argv, capsys)
     assert code == 0 and loud_out == quiet_out
-    assert loud_err.splitlines()[-1].startswith("extended 34 / 34 graphs")
+    lines = loud_err.splitlines()
+    assert lines[0] == "building the graphs of orders 1..5"
+    assert lines[-1].startswith("extended 34 / 34 graphs")
+    assert lines[1].endswith(" s elapsed") and sum("elapsed" in line for line in lines) == 1
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(argv + ["--quiet", "--json", str(a)], capsys)[0] == 0
     assert run(argv + ["--json", str(b)], capsys)[0] == 0
@@ -454,6 +507,9 @@ def test_progress_is_rate_limited(capsys):
         progress(k << 12, total)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 6  # one a second, then the final one
+    # the first line also says how long the run has taken
+    assert lines[0] == "extended 204800 / 1048576 graphs, 204800 graphs/s, ETA 4 s, 1.0 s elapsed"
+    assert not any("elapsed" in line for line in lines[1:])
     assert lines[-1].startswith("extended %d / %d graphs, " % (total, total))
     assert "graphs/s, ETA 0 s" in lines[-1]
     # a probe's next degree starts a new scan at a lower cursor

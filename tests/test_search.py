@@ -203,8 +203,9 @@ def test_checkpoint_interrupt_and_resume(tmp_path):
     with pytest.raises(SearchInterrupted) as ei:
         enumerate_td(7, workers=2, checkpoint_path=ckpt, chunk_limit=20, count_automorphisms=True)
     assert ei.value.cursor == first_cursor + 20  # resumed, not restarted
-    body = open(ckpt).read().split("classes:\n")[1]
-    assert [canonical_form(decode(line.split()[0])) for line in body.splitlines()] == ["FBnnw"]
+    *class_lines, checksum = open(ckpt).read().split("classes:\n")[1].splitlines()
+    assert [canonical_form(decode(line.split()[0])) for line in class_lines] == ["FBnnw"]
+    assert checksum.startswith("crc32 ")
 
     resumed = enumerate_td(7, workers=1, checkpoint_path=ckpt, count_automorphisms=True)
     assert report_text(resumed) == report_text(fresh)
