@@ -157,7 +157,7 @@ def _cmd_check(args) -> int:
     except graph6.Graph6Error as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # input that is not text
         print("cannot read %s: %s" % (args.infile, exc), file=sys.stderr)
         return EXIT_IO
     results = []
@@ -346,7 +346,7 @@ def _cmd_compose(args) -> int:
     except graph6.Graph6Error as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)
         return EXIT_IO
     if not gs or not hs:

@@ -47,20 +47,20 @@ G - v onto G - v gives exactly one hit, so class G is hit exactly
 sum_v |Aut(G - v)| times.  Every finished scan checks that count per class
 and raises CertificationError on a mismatch.
 
-Orders 2..9 are supported; order 9 takes about a minute, most of it in
-canonical labeling of the 133,632 children that make level 8.  A scan can
-checkpoint after every extension slice to a plain-text file holding the
-slices done and one graph6 representative and hit count per class found so
-far, closed by a CRC-32 line over everything before it, so an edited file
-is refused as malformed rather than failing certification.  An
-interruption surfaces as SearchInterrupted, and rerunning the same call
-rebuilds the levels and resumes from the file.
+Orders 2..9 are supported; order 9 takes about 10 s in one process, over
+half of it in canonical labeling of the 144,922 children that make levels
+2..8.  A scan can checkpoint after every extension slice to a plain-text
+file holding the slices done and one graph6 representative and hit count
+per class found so far, closed by a CRC-32 line over everything before it,
+so an edited file is refused as malformed rather than failing
+certification.  An interruption surfaces as SearchInterrupted, and
+rerunning the same call rebuilds the levels and resumes from the file.
 
-Canonical forms are brute force, capped at order 9: the lexicographically
-smallest graph6 body over the vertex orderings that list degrees ascending
-(all orderings within an equal-degree block are tried).  The restriction to
-degree-sorted orderings is isomorphism-invariant, so equal canonical strings
-is the same relation as isomorphism, which is all the de-duplication needs.
+Canonical forms are capped at order 9: the lexicographically smallest graph6
+body over the vertex orderings that list degrees ascending, found by _label
+without listing the orderings.  The restriction to degree-sorted orderings
+is isomorphism-invariant, so equal canonical strings is the same relation
+as isomorphism, which is all the de-duplication needs.
 """
 
 import os
@@ -68,7 +68,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 from math import comb, factorial, prod
 from multiprocessing import Pool
 
@@ -78,7 +78,6 @@ from .graphs import (  # noqa: F401  is_triangle_distinct is re-exported
     Graph,
     induced,
     is_triangle_distinct,
-    pair_list,
     triangle_degrees,
     triangle_degrees_rows,
 )
@@ -180,82 +179,81 @@ def default_workers() -> int:
 # canonical forms
 
 
-def _degree_blocks(order, degs):
-    blocks = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and degs[order[j]] == degs[order[i]]:
-            j += 1
-        blocks.append(tuple(order[i:j]))
-        i = j
-    return blocks
+@cache
+def _spread(n):
+    """_spread(n)[mask]: bit n * u set for each vertex u in mask, the low bit
+    of u's field when n bits are packed per vertex."""
+    out = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        low = x & -x
+        out[x] = out[x ^ low] | 1 << n * (low.bit_length() - 1)
+    return out
+
+
+def _label(g: Graph) -> tuple[int, int]:
+    """(body, count): the smallest graph6 body of g, as an int of C(n, 2)
+    bits, over the vertex orderings whose degrees read ascending, and how
+    many of those orderings give it, which is |Aut(g)|.  Order <= 9.
+
+    Column j of the body holds the pairs (i, j), i < j, so orderings are
+    built a position at a time from the degree block at that position, and
+    only the partial orderings whose columns so far are smallest are kept.
+    A state is the unplaced vertices and, packed n bits per vertex, the
+    positions each is joined to (bit n - 1 - i for position i, so comparing
+    fields compares columns).  Partial orderings with equal states complete
+    alike, so each state is kept once with the count of those behind it.
+    """
+    n, rows = g.n, g.rows
+    if n > 9:
+        raise ValueError("canonical labeling is capped at order 9, got %d" % n)
+    full, spread = (1 << n) - 1, _spread(n)
+    degs = [row.bit_count() for row in rows]
+    block = {}
+    for v, d in enumerate(degs):
+        block[d] = block.get(d, 0) | 1 << v
+    states = {(full, 0): 1}  # (unplaced, packed fields) -> partial orderings
+    body = 0
+    for j, d in enumerate(sorted(degs)):
+        best, nxt, shift = full, {}, n - 1 - j
+        for (left, packed), count in states.items():
+            w = left & block[d]
+            while w:
+                low = w & -w
+                w ^= low
+                v = low.bit_length() - 1
+                col = packed >> n * v & full
+                if col > best:
+                    continue
+                if col < best:
+                    best, nxt = col, {}
+                rest = left ^ low
+                key = (rest, (packed | spread[rows[v]] << shift) & spread[rest] * full)
+                nxt[key] = nxt.get(key, 0) + count
+        body = body << j | best >> (n - j)
+        states = nxt
+    return body, sum(states.values())
 
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string; equal strings iff isomorphic.  Order <= 9.
 
-    Minimizes the graph6 body over every vertex ordering whose degree
-    sequence reads ascending; within a block of equal degrees all orderings
-    are tried, so the worst case (a regular graph) is the full 9! = 362880.
-    Only the smaller blocks' orderings are held in memory; the largest
-    block's are generated one at a time in the innermost loop.
+    The graph6 encoding of g under the vertex ordering, among those whose
+    degrees read ascending, with the smallest body (see _label).  Restricting
+    to degree-sorted orderings is isomorphism-invariant, so equal strings is
+    the same relation as isomorphism.
     """
-    n = g.n
-    if n > 9:
-        raise ValueError("canonical_form is brute force and capped at order 9, got %d" % n)
-    if n <= 1:
-        return graph6.encode(g)
-    degs = g.degrees()
-    order0 = sorted(range(n), key=degs.__getitem__)
-    blocks = _degree_blocks(order0, degs)
-    big = max(range(len(blocks)), key=lambda b: len(blocks[b]))
-    colpairs = tuple((i, j) for j in range(1, n) for i in range(j))
-    rows = g.rows
-    best = None
-    for rest in product(*(permutations(b) for b in blocks[:big] + blocks[big + 1 :])):
-        head = sum(rest[:big], ())
-        tail = sum(rest[big:], ())
-        for middle in permutations(blocks[big]):
-            perm = head + middle + tail
-            val = 0
-            for i, j in colpairs:
-                val = (val << 1) | ((rows[perm[i]] >> perm[j]) & 1)
-            if best is None or val < best:
-                best = val
-    nbits = len(colpairs)
+    body, _ = _label(g)
+    nbits = g.n * (g.n - 1) // 2
     pad = (-nbits) % 6
-    padded = best << pad
-    ngroups = (nbits + pad) // 6
-    body = bytes(
-        ((padded >> (6 * k)) & 63) + 63 for k in range(ngroups - 1, -1, -1)
-    )
-    return graph6._encode_order(n).decode("ascii") + body.decode("ascii")
+    padded = body << pad
+    groups = bytes(((padded >> 6 * k) & 63) + 63 for k in range((nbits + pad) // 6 - 1, -1, -1))
+    return graph6._encode_order(g.n).decode("ascii") + groups.decode("ascii")
 
 
 def automorphism_count(g: Graph) -> int:
-    """|Aut(g)| by brute force over degree-preserving permutations; order <= 9."""
-    n = g.n
-    if n > 9:
-        raise ValueError("automorphism_count is brute force and capped at order 9")
-    if n <= 1:
-        return 1
-    degs = g.degrees()
-    classes = _degree_blocks(sorted(range(n), key=degs.__getitem__), degs)
-    rows = g.rows
-    pairs = pair_list(n)
-    count = 0
-    image = [0] * n
-    for assignment in product(*(permutations(c) for c in classes)):
-        for cls, img in zip(classes, assignment):
-            for src, dst in zip(cls, img):
-                image[src] = dst
-        if all(
-            ((rows[i] >> j) & 1) == ((rows[image[i]] >> image[j]) & 1)
-            for i, j in pairs
-        ):
-            count += 1
-    return count
+    """|Aut(g)|: the number of degree-sorted orderings that give g's
+    canonical body (see _label).  Order <= 9."""
+    return _label(g)[1]
 
 
 # ---------------------------------------------------------------------------

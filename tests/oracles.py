@@ -13,9 +13,10 @@ against the one-counter-at-a-time scan_chunk_slow.
 import decimal
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
+from trideg import graph6
 from trideg.graphs import Graph, is_triangle_distinct, pair_list, triangle_degrees_rows
 from trideg.search import _extends_td, _extensions
 
@@ -105,6 +106,38 @@ def automorphism_count_slow(g):
         if mapped == edges:
             count += 1
     return count
+
+
+def canonical_form_brute(g):
+    """The canonical graph6 string by its definition, the brute force that
+    search.canonical_form replaced: g encoded under each vertex ordering
+    whose degrees read ascending, every ordering within a block of equal
+    degrees tried (9! for a regular graph of order 9), smallest body kept.
+    The largest block's orderings are generated in the innermost loop."""
+    n = g.n
+    if n == 0:
+        return graph6.encode(g)
+    degs = degree_list(g)
+    blocks = []
+    for v in sorted(range(n), key=degs.__getitem__):
+        if blocks and degs[blocks[-1][0]] == degs[v]:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    big = max(range(len(blocks)), key=lambda b: len(blocks[b]))
+    colpairs = [(i, j) for j in range(1, n) for i in range(j)]
+    best = None
+    for rest in product(*(permutations(b) for b in blocks[:big] + blocks[big + 1 :])):
+        head, tail = sum(rest[:big], ()), sum(rest[big:], ())
+        for middle in permutations(blocks[big]):
+            perm = head + middle + tail
+            val = 0
+            for i, j in colpairs:
+                val = (val << 1) | ((g.rows[perm[i]] >> perm[j]) & 1)
+            if best is None or val < best[0]:
+                best = (val, perm)
+    position = {v: i for i, v in enumerate(best[1])}
+    return graph6.encode(relabel(g, [position[v] for v in range(n)]))
 
 
 def iso_partition_slow(graph_list):

@@ -1,5 +1,9 @@
-"""Property tests: graph6 decoding and search checkpoints take arbitrary
-input and fail only with their documented errors."""
+"""Property tests: graph6 decoding, search checkpoints and `trideg check`
+take arbitrary input and fail only with their documented errors, and the
+canonical labeler agrees with its brute-force definition."""
+
+import contextlib
+import io
 
 import pytest
 
@@ -7,6 +11,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
+import trideg.bounds as bounds  # noqa: E402
+import trideg.cli as cli  # noqa: E402
 import trideg.search as search  # noqa: E402
 from trideg.graph6 import Graph6Error, decode, encode  # noqa: E402
 from trideg.graphs import Graph  # noqa: E402
@@ -25,8 +32,8 @@ def test_decode_arbitrary_bytes_raises_only_graph6_errors(data):
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(0, 70))
+def graphs(draw, max_order=70):
+    n = draw(st.integers(0, max_order))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     rows = [0] * n
@@ -91,3 +98,46 @@ def test_mutated_checkpoint_raises_only_checkpoint_or_config_errors(tmp_path_fac
     assert 0 <= cursor <= search._slice_count(7)
     for g, hits in classes.values():
         assert g.n == 7 and hits >= 1
+
+
+@settings(SETTINGS, max_examples=100)
+@given(graphs(max_order=7), st.data())
+def test_canonical_form_is_the_brute_force_string_under_relabeling(g, data):
+    h = oracles.relabel(g, data.draw(st.permutations(range(g.n))))
+    assert search.canonical_form(g) == oracles.canonical_form_brute(g) == search.canonical_form(h)
+    assert search.automorphism_count(h) == oracles.automorphism_count_slow(g)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+graph6_ish = st.text(st.sampled_from([chr(c) for c in range(63, 127)] + ["\n", "#", ">"]), max_size=120)
+
+
+@pytest.fixture(scope="module")
+def check_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("check") / "in.g6"
+
+
+@SETTINGS
+@given(st.one_of(st.binary(max_size=120), graph6_ish.map(str.encode)))
+def test_check_arbitrary_file_exits_0_or_3(check_input, data):
+    check_input.write_bytes(data)
+    code, err = run_cli(["check", "--in", str(check_input)])
+    assert code in (0, 3), err
+    assert "Traceback" not in err
+    assert (code == 3) == bool(err)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12), st.sampled_from(sorted(bounds._ALL_CHECKS)))
+def test_check_unknown_bound_name_exits_2(check_input, name, known):
+    hypothesis.assume(name not in bounds._ALL_CHECKS and name != "all")
+    check_input.write_text("FBnnw\n")  # the order-7 class: every bound applies
+    for names in (name, "%s,%s" % (known, name)):
+        code, err = run_cli(["check", "--in", str(check_input), "--bounds", names])
+        assert code == 2 and "unknown bound names" in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,12 +12,13 @@ import oracles
 import trideg.search as search
 from conftest import all_graphs, random_graphs
 from trideg.construction import CertificationError
-from trideg.graph6 import decode
+from trideg.graph6 import decode, encode
 from trideg.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     empty_graph,
+    from_edges,
     graph_from_counter,
     pair_list,
 )
@@ -158,6 +160,75 @@ def test_automorphism_count_matches_slow():
     assert automorphism_count(cycle_graph(5)) == oracles.automorphism_count_slow(
         cycle_graph(5)
     )
+
+
+# ---------------------------------------------------------------------------
+# the labeler against the brute-force definition of the canonical string
+
+
+def _graph(n, adjacent):
+    return from_edges(n, [(i, j) for j in range(n) for i in range(j) if adjacent(i, j)])
+
+
+# name -> (graph, |Aut|)
+SYMMETRIC = {
+    "C8": (cycle_graph(8), 16),
+    "Q3": (_graph(8, lambda i, j: (i ^ j).bit_count() == 1), 48),
+    "K4,4": (_graph(8, lambda i, j: i < 4 <= j), 1152),
+    "2K4": (_graph(8, lambda i, j: i // 4 == j // 4), 1152),
+    "4K2": (_graph(8, lambda i, j: i // 2 == j // 2), 384),
+    "E9": (empty_graph(9), math.factorial(9)),
+    "K9": (complete_graph(9), math.factorial(9)),
+    "C9": (cycle_graph(9), 18),
+    "Paley-9": (_graph(9, lambda i, j: i // 3 == j // 3 or i % 3 == j % 3), 72),
+    "K3,3,3": (_graph(9, lambda i, j: i // 3 != j // 3), 1296),
+    "3K3": (_graph(9, lambda i, j: i // 3 == j // 3), 1296),
+    "K1,8": (_graph(9, lambda i, j: i == 0), math.factorial(8)),
+}
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return oracles.relabel(g, perm)
+
+
+def test_canonical_form_is_the_brute_force_string_through_order_7(unpruned_levels):
+    # the levels hold every graph of orders 1..7 (A000088, the graph atlas)
+    rng = random.Random(29)
+    assert canonical_form(empty_graph(0)) == oracles.canonical_form_brute(empty_graph(0))
+    for level in unpruned_levels:
+        for text in level:
+            g = _shuffled(decode(text), rng)
+            assert canonical_form(g) == oracles.canonical_form_brute(g) == text
+
+
+def test_canonical_form_is_the_brute_force_string_at_orders_8_and_9():
+    inputs = random_graphs(29, 60, 9, n_min=8)  # G(n, p), p from 0.1 to 0.9
+    inputs += [SYMMETRIC[name][0] for name in ("C8", "Q3", "K4,4", "2K4", "4K2")]
+    for g in inputs:
+        assert canonical_form(g) == oracles.canonical_form_brute(g), encode(g)
+
+
+def test_automorphism_count_through_order_6_and_known_groups(unpruned_levels):
+    rng = random.Random(30)
+    for level in unpruned_levels[:6]:
+        for text in level:
+            g = _shuffled(decode(text), rng)
+            assert automorphism_count(g) == oracles.automorphism_count_slow(g), text
+    for name, (g, order) in SYMMETRIC.items():
+        assert automorphism_count(_shuffled(g, rng)) == order, name
+
+
+def test_symmetric_order_9_graphs_within_budget():
+    for name in ("E9", "K9"):
+        g, order = SYMMETRIC[name]
+        t0 = time.perf_counter()
+        text, count = canonical_form(g), automorphism_count(g)
+        elapsed = time.perf_counter() - t0
+        assert (text, count) == (encode(g), order)
+        assert elapsed < 2.0
+        print("%s PASS (%.3fs, budget 2s): %s, |Aut| = %d" % (name, elapsed, text, count))
 
 
 def test_enumerate_validation():
@@ -372,6 +443,9 @@ def test_enumerate_order_8():
     assert rep.labeled_count == rep.candidates == 1 << 28
 
 
+ORDER_9_SHA256 = "fb01416741efd6c0283cae3de43ac244e3dd87f2c93768e539dd9dc63cdfc814"
+
+
 @pytest.mark.long
 @pytest.mark.skipif(not os.environ.get("TRIDEG_LONG_TESTS"), reason="set TRIDEG_LONG_TESTS=1 to run")
 def test_enumerate_order_9():
@@ -379,6 +453,9 @@ def test_enumerate_order_9():
     assert len(rep.td_classes) == 924
     assert rep.min_edges == 17
     assert rep.td_labeled == 924 * math.factorial(9)
+    # pinned from the report the brute-force canonical_form gave; same bytes
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER_9_SHA256
 
 
 def test_non_distinct_hit_fails_certification(monkeypatch):
