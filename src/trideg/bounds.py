@@ -39,11 +39,13 @@ complement size ebar and c = ebar/n:
                      degree n-k is at most k (4cn)^(1 - 1/2^(k-1))
 
 Every bound reads one private facts value per graph, computed once: the
-triangle-distinct test, degrees and their histogram, the complement rows
-grouped by complement degree, ebar, c and 4cn rounded up, and the term table
-(built on first use).  check_all builds it once and evaluates each named
-bound from it; each public check_* builds its own and calls the same
-function.
+triangle degrees and the triangle-distinct test read off them, degrees and
+their histogram, the complement rows grouped by complement degree, ebar, c
+and 4cn rounded up, and the term table (built on first use).  check_all
+builds it once and evaluates each named bound from it; each public check_*
+builds its own and calls the same function.  check_all's report, and the
+NotTriangleDistinct it raises, carry the triangle degrees, so a caller that
+prints them needs no second pass.
 
 Entries report observed value, threshold, and a status of holds / violated /
 not_applicable / indeterminate.  A violated entry on a genuinely
@@ -57,8 +59,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb, isqrt
 
-from .graphs import Graph, complement, is_triangle_distinct
-from .graphs import triangle_degrees  # noqa: F401  bench/tracing.py wraps bounds.triangle_degrees
+from .graphs import Graph, complement, triangle_degrees
 
 
 # Fractional bits the term chain starts with; it doubles them as needed.
@@ -67,7 +68,12 @@ _TERM_BITS = 64
 
 class NotTriangleDistinct(ValueError):
     """A bound that applies to triangle-distinct graphs only was asked about
-    a graph that is not one."""
+    a graph that is not one; triangle_degrees holds its triangle degrees, by
+    vertex."""
+
+    def __init__(self, message: str, triangle_degrees: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.triangle_degrees = triangle_degrees
 
 
 @dataclass(frozen=True)
@@ -108,9 +114,13 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class BoundsReport:
+    """The bounds on one graph.  triangle_degrees, by vertex, are the ones
+    the bounds were checked against; they are not part of the JSON form."""
+
     order: int
     size: int
     entries: tuple[BoundEntry, ...]
+    triangle_degrees: tuple[int, ...] = ()
 
     @property
     def violations(self) -> tuple[BoundEntry, ...]:
@@ -168,14 +178,16 @@ def _term_table(base: int, count: int) -> list[int]:
 
 class _Facts:
     """What the bounds read about one graph, computed once; the term table
-    is built on first use.  With `what`, a graph that is not
-    triangle-distinct raises NotTriangleDistinct naming it.  c defaults to
-    ebar/n, making 4cn the integer 4*ebar exactly."""
+    is built on first use.  Triangle-distinctness is read off the triangle
+    degrees: at least two vertices, all values distinct.  With `what`, a
+    graph that is not triangle-distinct raises NotTriangleDistinct naming
+    it.  c defaults to ebar/n, making 4cn the integer 4*ebar exactly."""
 
     def __init__(self, g: Graph, what: str | None = None, c: Fraction | None = None):
-        self.td = is_triangle_distinct(g)
+        self.t = triangle_degrees(g)
+        self.td = g.n >= 2 and len(set(self.t)) == g.n
         if what and not self.td:
-            raise NotTriangleDistinct("%s applies to triangle-distinct graphs only" % what)
+            raise NotTriangleDistinct("%s applies to triangle-distinct graphs only" % what, self.t)
         n = self.n = g.n
         self.m = g.m
         self.degrees = g.degrees()
@@ -517,4 +529,4 @@ def check_all(g: Graph, names=None) -> BoundsReport:
         if unknown:
             raise ValueError("unknown bound names: %s" % sorted(unknown))
     entries = tuple(fn(f) for name, fn in _CHECKS.items() if names is None or name in names)
-    return BoundsReport(order=g.n, size=g.m, entries=entries)
+    return BoundsReport(order=g.n, size=g.m, entries=entries, triangle_degrees=f.t)

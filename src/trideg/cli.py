@@ -31,8 +31,8 @@ import time
 from . import bounds as bounds_mod
 from . import graph6
 from .construction import CertificationError, construct
-from .graphs import is_triangle_distinct  # noqa: F401  bench/tracing.py wraps cli.is_triangle_distinct
-from .graphs import random_graph, triangle_degrees
+from .graphs import random_graph
+from .graphs import is_triangle_distinct, triangle_degrees  # noqa: F401  bench/tracing.py wraps both
 from .identities import check_composition, check_graph
 from .search import (
     CheckpointError,
@@ -58,8 +58,9 @@ def _dump_json(payload: dict, path) -> str:
 
 
 def _read_graph6_file(path):
-    """Yield (line_number, Graph) from a graph6 file; '-' reads stdin.
-    Blank lines, '#' comments, and a '>>graph6<<' header are skipped."""
+    """[(line number, graph6 text, Graph)] from a graph6 file; '-' reads
+    stdin.  Blank lines, '#' comments, and a '>>graph6<<' header are
+    skipped."""
     if path == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -73,10 +74,18 @@ def _read_graph6_file(path):
         if not line or line.startswith("#"):
             continue
         try:
-            out.append((lineno, graph6.decode(line)))
+            out.append((lineno, line, graph6.decode(line)))
         except graph6.Graph6Error as exc:
             raise graph6.Graph6Error("line %d: %s" % (lineno, exc)) from exc
     return out
+
+
+def _normalised(text, n):
+    """text, a graph6 string of order n that decodes, as graph6.encode would
+    write it: decoding is strict, so the body is already the one encode
+    writes, and only a long-form header for n <= 62 differs."""
+    body = (n * (n - 1) // 2 + 5) // 6
+    return graph6._encode_order(n).decode("ascii") + text[len(text) - body :]
 
 
 class _Progress:
@@ -162,20 +171,21 @@ def _cmd_check(args) -> int:
         return EXIT_IO
     results = []
     any_violation = False
-    for lineno, g in graphs:
-        # check_all tests triangle-distinctness once, in its facts pass
+    for lineno, text, g in graphs:
+        # check_all's facts pass computes the triangle degrees, once per graph
         try:
             report = bounds_mod.check_all(g, names)
-        except bounds_mod.NotTriangleDistinct:
-            report = None
+            tri = report.triangle_degrees
+        except bounds_mod.NotTriangleDistinct as exc:
+            report, tri = None, exc.triangle_degrees
         td = report is not None
         record = {
             "line": lineno,
-            "graph6": graph6.encode(g),
+            "graph6": _normalised(text, g.n),
             "n": g.n,
             "m": g.m,
             "triangle_distinct": td,
-            "triangle_degrees": sorted(triangle_degrees(g), reverse=True),
+            "triangle_degrees": sorted(tri, reverse=True),
             "bounds": None,
         }
         if td:
@@ -352,8 +362,8 @@ def _cmd_compose(args) -> int:
     if not gs or not hs:
         print("error: each input file must contain a graph6 line", file=sys.stderr)
         return EXIT_USAGE
-    g = gs[0][1]
-    h = hs[0][1]
+    g = gs[0][2]
+    h = hs[0][2]
     from .identities import compose
 
     gh = compose(g, h)

@@ -18,7 +18,7 @@ from math import comb
 
 from trideg import graph6
 from trideg.graphs import Graph, is_triangle_distinct, pair_list, triangle_degrees_rows
-from trideg.search import _extends_td, _extensions
+from trideg.search import _admits, _extends_td, _extensions, canonical_form
 
 
 def edge_set(g):
@@ -249,6 +249,26 @@ def scan_chunk_slow(args):
         if is_triangle_distinct(Graph._trusted(n, rows)):
             hits.append(x)
     return len(range(start, end)), candidates, hits
+
+
+def grow_slice_all(args):
+    """The level step that search._grow_slice replaced, kept as its oracle:
+    every child of every parent is built and labeled, with no filter on the
+    new vertex.  Returns the canonical forms of the children _admits keeps,
+    like the step it checks; put in place of search._grow_slice, it makes
+    search._levels build the unfiltered levels."""
+    parents, n, regular_d, max_edges = args
+    found = set()
+    for text in parents:
+        h = graph6.decode(text)
+        k = h.n
+        for nbhd in range(1 << k):
+            rows = [r | (nbhd >> v & 1) << k for v, r in enumerate(h.rows)]
+            rows.append(nbhd)
+            child = Graph._trusted(k + 1, rows, h.m + nbhd.bit_count())
+            if _admits(child, n, regular_d, max_edges):
+                found.add(canonical_form(child))
+    return found
 
 
 # ---------------------------------------------------------------------------

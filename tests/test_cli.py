@@ -522,21 +522,45 @@ def test_progress_is_rate_limited(capsys):
 
 
 def test_check_tests_each_graph_once(capsys, monkeypatch, tmp_path, g7, family40):
-    # one triangle-distinctness test per input graph, whether it is
-    # triangle-distinct or not, wherever the CLI and the bounds call it
+    # one triangle-degree pass per input graph, whether it is
+    # triangle-distinct or not: the bounds' facts pass, whose degrees the
+    # record reads; no separate distinctness test and no second pass run
     graphs = [g7.graph, cycle_graph(5), family40[20].graph, complete_graph(4)]
     src = tmp_path / "graphs.g6"
     src.write_text("".join(encode(g) + "\n" for g in graphs))
+    report = tmp_path / "report.json"
     calls = []
-    real = bounds.is_triangle_distinct
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def counted(real):
+        def fn(g):
+            calls.append(g)
+            return real(g)
 
-    monkeypatch.setattr(bounds, "is_triangle_distinct", counted)
-    monkeypatch.setattr(cli, "is_triangle_distinct", counted)
-    code, out, _ = run(["check", "--in", str(src)], capsys)
+        return fn
+
+    monkeypatch.setattr(bounds, "triangle_degrees", counted(bounds.triangle_degrees))
+    monkeypatch.setattr(cli, "triangle_degrees", counted(cli.triangle_degrees))
+    monkeypatch.setattr(cli, "is_triangle_distinct", counted(cli.is_triangle_distinct))
+    code, out, _ = run(["check", "--in", str(src), "--json", str(report)], capsys)
     assert code == 0
     assert out.count("bounds hold") == 2 and out.count("not triangle-distinct") == 2
     assert calls == graphs
+    recs = json.loads(report.read_text())["graphs"]
+    assert [r["triangle_degrees"] for r in recs] == [
+        sorted(oracles.triangle_list_slow(g), reverse=True) for g in graphs
+    ]
+
+
+def test_check_record_normalises_a_long_form_header(capsys, tmp_path, g7):
+    # graph6 allows the four-byte header for any order; the record gives
+    # the short form encode writes, with the line's own body behind it
+    short = encode(g7.graph)
+    long_form = "~??F" + short[1:]  # order 7 as 18 bits: 0, 0, 7
+    src = tmp_path / "g.g6"
+    src.write_text("%s\n%s\n" % (long_form, short))
+    report = tmp_path / "report.json"
+    code, _, _ = run(["check", "--in", str(src), "--json", str(report)], capsys)
+    assert code == 0
+    recs = json.loads(report.read_text())["graphs"]
+    assert [r["graph6"] for r in recs] == [short, short]
+    assert recs[0] == dict(recs[1], line=1)

@@ -1,9 +1,13 @@
-"""Property tests: graph6 decoding, search checkpoints and `trideg check`
-take arbitrary input and fail only with their documented errors, and the
-canonical labeler agrees with its brute-force definition."""
+"""Property tests: graph6 decoding, search checkpoints and the CLI
+subcommands take arbitrary input and fail only with their documented errors
+and exit codes, and the canonical labeler agrees with its brute-force
+definition."""
 
 import contextlib
 import io
+import os
+import tempfile
+from unittest import mock
 
 import pytest
 
@@ -109,9 +113,14 @@ def test_canonical_form_is_the_brute_force_string_under_relabeling(g, data):
 
 
 def run_cli(argv):
+    """(exit code, stderr) of one in-process CLI run; argparse's usage
+    errors exit through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -141,3 +150,131 @@ def test_check_unknown_bound_name_exits_2(check_input, name, known):
     for names in (name, "%s,%s" % (known, name)):
         code, err = run_cli(["check", "--in", str(check_input), "--bounds", names])
         assert code == 2 and "unknown bound names" in err
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 0 success, 1 interrupted with a resumable checkpoint, 2 usage
+# or domain errors, 3 I/O and parse errors (cli module docstring)
+
+EXIT = {"ok": 0, "interrupted": 1, "usage": 2, "io": 3}
+
+
+@settings(SETTINGS, max_examples=100)
+@given(
+    n=st.sampled_from([-1, 1, 2, 3, 4, 5, 6, 6, 10]),
+    regular=st.booleans(),
+    max_edges=st.sampled_from([None, None, -1, 0, 5, 9, 15]),
+    workers=st.sampled_from([None, None, 1, 2, 0]),
+    checkpoint=st.none() | st.binary(max_size=60),
+    interrupt=st.booleans(),
+    json_ok=st.booleans(),
+)
+def test_search_errors_map_to_exit_codes(n, regular, max_edges, workers, checkpoint, interrupt, json_ok):
+    # checkpoint: the bytes of a file already at the checkpoint path (a probe
+    # keeps one per degree); interrupt: a Ctrl-C during the extension
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = os.path.join(tmp, "scan.ckpt")
+        argv = ["search", "--n", str(n), "--quiet", "--checkpoint", ckpt]
+        argv += ["--json", os.path.join(tmp, "report.json" if json_ok else "missing/report.json")]
+        if regular:
+            argv.append("--regular")
+        if max_edges is not None:
+            argv.append("--max-edges=%d" % max_edges)
+        if workers is not None:
+            argv.append("--workers=%d" % workers)
+        degrees = search.regular_window_degrees(n) if regular and 2 <= n <= 9 else ()
+        scans = len(degrees) if regular else 1
+        if checkpoint is not None:
+            for path in ["%s.d%d" % (ckpt, d) for d in degrees] if regular else [ckpt]:
+                with open(path, "wb") as fh:
+                    fh.write(checkpoint)
+        if (workers is not None and workers < 1) or (regular and max_edges is not None):
+            want = "usage"  # rejected by the argument parser
+        elif not 2 <= n <= 9 or (max_edges is not None and max_edges < 0):
+            want = "usage"
+        elif checkpoint is not None and scans:
+            want = "io"  # no real checkpoint: wrong magic line or checksum
+        elif interrupt and scans:
+            want = "interrupted"
+        else:
+            want = "ok" if json_ok else "io"
+        stop = mock.patch.object(search, "_extend_slice", side_effect=KeyboardInterrupt)
+        with stop if interrupt else contextlib.nullcontext():
+            code, err = run_cli(argv)
+        assert code == EXIT[want], (want, err)
+        assert "Traceback" not in err
+        if want == "interrupted":  # the first scan stopped, its checkpoint kept
+            first = "%s.d%d" % (ckpt, degrees[0]) if regular else ckpt
+            assert "resume from %s" % first in err and os.path.exists(first)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    n_max=st.sampled_from([-1, 0, 1, 2, 3, 4, 7, 40]),
+    samples=st.integers(-1, 4),
+    pairs=st.integers(-1, 4),
+    seed=st.integers(0, 2**32),
+    json_ok=st.booleans(),
+)
+def test_verify_errors_map_to_exit_codes(n_max, samples, pairs, seed, json_ok):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["verify", "--n-max=%d" % n_max, "--samples=%d" % samples, "--pairs=%d" % pairs]
+        argv += ["--seed=%d" % seed, "--json", os.path.join(tmp, "ok.json" if json_ok else "missing/v.json")]
+        if not 1 <= n_max <= 6 or samples < 0 or pairs < 0:
+            want = "usage"
+        else:
+            want = "ok" if json_ok else "io"
+        code, err = run_cli(argv)
+        assert code == EXIT[want], (want, err)
+        assert "Traceback" not in err
+
+
+def graph6_file_kind(data):
+    """What the CLI's graph6 reader makes of a file: 'io' when it is not
+    UTF-8 text or a line does not decode, else 'empty' or 'graphs'."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return "io"
+    found = False
+    for line in text.splitlines():
+        line = line.strip().removeprefix(">>graph6<<").strip()
+        if line and not line.startswith("#"):
+            try:
+                decode(line)
+            except Graph6Error:
+                return "io"
+            found = True
+    return "graphs" if found else "empty"
+
+
+graph6_files = st.one_of(
+    st.binary(max_size=30),
+    st.text(st.sampled_from([chr(c) for c in range(63, 127)] + ["\n", "#", ">"]), max_size=30).map(str.encode),
+    st.tuples(st.sampled_from(["", "# a comment\n", ">>graph6<<"]), graphs(max_order=6)).map(
+        lambda pair: (pair[0] + encode(pair[1]) + "\n").encode()
+    ),
+)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(g_data=graph6_files, h_data=graph6_files, json_ok=st.booleans())
+def test_compose_errors_map_to_exit_codes(g_data, h_data, json_ok):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, data in (("g.g6", g_data), ("h.g6", h_data)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "wb") as fh:
+                fh.write(data)
+        argv = ["compose", "--g", paths[0], "--h", paths[1]]
+        argv += ["--json", os.path.join(tmp, "ok.json" if json_ok else "missing/c.json")]
+        kinds = {graph6_file_kind(g_data), graph6_file_kind(h_data)}
+        if "io" in kinds:
+            want = "io"
+        elif "empty" in kinds:
+            want = "usage"
+        else:
+            want = "ok" if json_ok else "io"
+        code, err = run_cli(argv)
+        assert code == EXIT[want], (want, err)
+        assert "Traceback" not in err

@@ -197,7 +197,7 @@ def test_canonical_form_is_the_brute_force_string_through_order_7(unpruned_level
     # the levels hold every graph of orders 1..7 (A000088, the graph atlas)
     rng = random.Random(29)
     assert canonical_form(empty_graph(0)) == oracles.canonical_form_brute(empty_graph(0))
-    for level in unpruned_levels:
+    for level in unpruned_levels[:7]:
         for text in level:
             g = _shuffled(decode(text), rng)
             assert canonical_form(g) == oracles.canonical_form_brute(g) == text
@@ -344,21 +344,74 @@ def test_scan_rejects_unaligned_range():
 # ---------------------------------------------------------------------------
 # the unlabeled extension engine
 
-# OEIS A000088: graphs of order 1..7 up to isomorphism
-A000088 = (1, 2, 4, 11, 34, 156, 1044)
+# OEIS A000088: graphs of order 1..9 up to isomorphism
+A000088 = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 
 @pytest.fixture(scope="module")
 def unpruned_levels():
-    """Levels 1..7, every graph of each order, built once for this module."""
-    return search._levels(8, None, None, map)
+    """Levels 1..8, every graph of each order, built once for this module."""
+    return search._levels(9, None, None, map)
 
 
 def test_levels_match_a000088(unpruned_levels):
-    assert tuple(len(level) for level in unpruned_levels) == A000088
+    # distinct canonical strings are distinct classes, so a level of
+    # A000088 strings holds every graph of its order
+    assert tuple(len(level) for level in unpruned_levels) == A000088[:8]
     for level in unpruned_levels:
         assert level == sorted(set(level))
         assert all(canonical_form(decode(text)) == text for text in level)
+
+
+def test_filtered_levels_match_unfiltered_levels(monkeypatch):
+    # the level step labels only the children whose new vertex has the
+    # largest (degree, triangle degree); building and labeling every child
+    # gives the same levels, unpruned, at every degree of a regular scan
+    # and under edge caps (unpruned level 8 is every graph of order 8 by
+    # test_levels_match_a000088)
+    configs = [(8, None, None)]
+    configs += [(n, d, None) for n in (7, 8) for d in range(n)]
+    configs += [(7, None, e) for e in range(0, 22, 3)] + [(8, None, e) for e in (4, 8, 12, 16, 20)]
+    configs += [(8, d, 4 * d) for d in range(8)]
+    filtered = {config: search._levels(*config, map) for config in configs}
+    monkeypatch.setattr(search, "_grow_slice", oracles.grow_slice_all)
+    for config, levels in filtered.items():
+        assert [set(level) for level in levels] == [
+            set(level) for level in search._levels(*config, map)
+        ], config
+
+
+def test_level_step_labels_only_children_with_the_new_vertex_on_top(monkeypatch, unpruned_levels):
+    # the children the level step labels are exactly those in which the new
+    # vertex's (degree, triangle degree), read off the child by the slow
+    # oracles, is the largest; ties are labeled too
+    labeled = []
+    real = search.canonical_form
+    monkeypatch.setattr(search, "canonical_form", lambda g: labeled.append(tuple(g.rows)) or real(g))
+    want = []
+    for level in unpruned_levels[:6]:
+        search._grow_slice((level, 8, None, None))
+        for text in level:
+            h = decode(text)
+            k = h.n
+            for nbhd in range(1 << k):
+                child = Graph(k + 1, [r | (nbhd >> v & 1) << k for v, r in enumerate(h.rows)] + [nbhd])
+                pairs = list(zip(oracles.degree_list(child), oracles.triangle_list_slow(child)))
+                if pairs[k] == max(pairs):
+                    want.append(tuple(child.rows))
+    assert labeled == want
+    # level 8 labels 22,111 of the 133,632 children of level 7
+    labeled.clear()
+    assert len(search._grow_slice((unpruned_levels[6], 9, None, None))) == A000088[7]
+    assert len(labeled) == 22111
+
+
+@pytest.mark.long
+@pytest.mark.skipif(not os.environ.get("TRIDEG_LONG_TESTS"), reason="set TRIDEG_LONG_TESTS=1 to run")
+def test_level_9_matches_a000088():
+    with search._runner(2) as run:
+        levels = search._levels(10, None, None, run)
+    assert tuple(len(level) for level in levels) == A000088
 
 
 def test_levels_match_graph_atlas(unpruned_levels):
@@ -370,7 +423,7 @@ def test_levels_match_graph_atlas(unpruned_levels):
             rows[a] |= 1 << b
             rows[b] |= 1 << a
         by_order.setdefault(len(rows), set()).add(canonical_form(Graph(len(rows), rows)))
-    assert [set(level) for level in unpruned_levels] == [by_order[k] for k in range(1, 8)]
+    assert [set(level) for level in unpruned_levels[:7]] == [by_order[k] for k in range(1, 8)]
 
 
 def _hit_classes(hits, n):
