@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 interrupted with a resumable checkpoint, 2 usage or
 domain errors, 3 I/O and parse errors (unwritable paths, malformed or
 retired-format checkpoints; messages name the file and line), 4 a certified
-claim failed (an identity, a certificate, a bound, or a search class's hit
-count), which always means a bug.
+claim failed (an identity, a certificate, a bound, or a search class's count
+of hits from its parent), which always means a bug.
 
 Reports go to stdout, progress chatter to stderr (search: one line before
 the levels are built, then progress at most once a second with rate and

@@ -12,7 +12,10 @@ A graph6 string is a printable-ASCII packing of the upper adjacency triangle:
 All bytes of a valid string lie in 63..126.  Decoding is strict: a byte
 outside that range, a body shorter or longer than the order requires, or a
 nonzero padding bit are each rejected with their own error type, so a file
-scanner can say exactly what is wrong with a line.
+scanner can say exactly what is wrong with a line.  A longer header than the
+order needs is valid input, since the format permits it; encode always
+writes the shortest, so decode(encode(g)) == g, and encode(decode(s)) is s
+with its header made shortest.
 """
 
 from .graphs import Graph

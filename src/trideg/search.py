@@ -25,9 +25,12 @@ each isomorphism class of order n-1 instead of every labeled graph:
     t(0) is half the sum of the additions.  Two vertices of H outside N keep
     their triangle degrees, so only the N that leave at most one vertex of
     each tie class of t_H outside are tested, each by a full distinctness
-    check of all n values.  Under an edge cap only N with |N| <= E - m(H)
-    count, and a d-regular scan has one possible N: the vertices of degree
-    d-1, valid when every other vertex has degree d and |N| = d.
+    check of all n values that also asks t(0) to be the largest: the vertex
+    w of G of largest triangle degree is unique, so G is found only from the
+    level's copy of G - w (canonical deletion again).  Under an edge cap
+    only N with |N| <= E - m(H) count, and a d-regular scan has one possible
+    N: the vertices of degree d-1, valid when every other vertex has degree
+    d and |N| = d.
 
 Work is cut into fixed slices of each parent list (32 from order 7 on, else
 one; never a function of the worker count); level steps and the extension run
@@ -45,20 +48,21 @@ aut_size 1 and exactly n! labelings, and td_labeled is n! * classes.
 
 Certification.  Hits are keyed by their relabeling by triangle degree, which
 for a triangle-distinct graph is already canonical (_class_key rechecks
-distinctness from the rows); canonical_form runs once per class.  Because
-Aut(G) is trivial, each isomorphism from the level's representative of
-G - v onto G - v gives exactly one hit, so class G is hit exactly
-sum_v |Aut(G - v)| times.  Every finished scan checks that count per class
-and raises CertificationError on a mismatch.
+distinctness from the rows); canonical_form runs once per class.  Class G
+has one parent H, the level's copy of G - w, and as Aut(G) is trivial, the N
+of H that give G are the |Aut(H)| distinct images of N_G(w).  Each slice checks that count
+with one automorphism_count(H) per parent with hits and keeps one
+representative per class; a count that differs, or a class found again from
+a second parent, raises CertificationError.
 
 Orders 2..9 are supported; order 9 takes about 3 s in one process, about
 1 s of it in the 24,681 canonical labelings that make levels 2..8 (of
 144,922 children).  A scan can checkpoint after every extension slice to a
-plain-text file holding the slices done and one graph6 representative and
-hit count per class found so far, closed by a CRC-32 line over everything
-before it, so an edited file is refused as malformed rather than failing
-certification.  An interruption surfaces as SearchInterrupted, and
-rerunning the same call rebuilds the levels and resumes from the file.
+plain-text file holding the slices done and one graph6 representative per
+class found so far, closed by a CRC-32 line over everything before it, so an
+edited file is refused as malformed rather than failing certification.  An
+interruption surfaces as SearchInterrupted, and rerunning the same call
+rebuilds the levels and resumes from the file.
 
 Canonical forms are capped at order 9: the lexicographically smallest graph6
 body over the vertex orderings that list degrees ascending, found by _label
@@ -80,7 +84,6 @@ from . import graph6
 from .construction import CertificationError
 from .graphs import (  # noqa: F401  is_triangle_distinct is re-exported
     Graph,
-    induced,
     is_triangle_distinct,
     triangle_degrees,
     triangle_degrees_rows,
@@ -428,7 +431,8 @@ def _extensions(classes):
 
 
 def _extends_td(rows, t_h, nbhd):
-    """Whether H plus vertex 0 joined to nbhd is triangle-distinct.
+    """Whether H plus vertex 0 joined to nbhd is triangle-distinct with
+    vertex 0's triangle degree larger than every other.
 
     rows are H's adjacency rows on vertices 1..n-1 (row 0 empty) and t_h its
     triangle degrees.  Joining vertex 0 to nbhd adds |nbhd & N_H(v)| to the
@@ -447,7 +451,7 @@ def _extends_td(rows, t_h, nbhd):
         if seen & bit:
             return False
         seen |= bit
-    return not seen & (1 << (twice0 >> 1))
+    return not seen >> (twice0 >> 1)
 
 
 def _regular_nbhd(rows, d):
@@ -465,12 +469,14 @@ def _regular_nbhd(rows, d):
 
 
 def _extend_slice(args):
-    """Every triangle-distinct G = H + vertex 0 over the parents H (graph6
-    strings of order n - 1) within the edge cap or regularity filter, as G's
-    adjacency rows, by parent and then by ascending N."""
+    """(class key, representative Graph) for each class of triangle-distinct
+    G = H + vertex 0, with t(0) largest, over the parents H (graph6 strings
+    of order n - 1) within the edge cap or regularity filter, by parent and
+    then by first N.  A class not hit exactly |Aut(H)| times (see the module
+    docstring) raises CertificationError naming the parent and the class."""
     parents, n, regular_d, max_edges = args
     extensions = {}  # tie partition of H's triangle degrees -> _extensions
-    hits = []
+    found = []
     for text in parents:
         h = graph6.decode(text)
         rows = [0] + [r << 1 for r in h.rows]  # H on vertices 1..n-1
@@ -486,12 +492,23 @@ def _extend_slice(args):
             todo = extensions.get(key)
             if todo is None:
                 todo = extensions[key] = _extensions(key)
+        hits = {}  # class key -> [representative, hits]
         for nbhd in todo:
             if nbhd.bit_count() <= room and _extends_td(rows, t_h, nbhd):
                 g = [r | (nbhd >> v & 1) for v, r in enumerate(rows)]
                 g[0] = nbhd
-                hits.append(tuple(g))
-    return hits
+                g = Graph._trusted(n, g)
+                hits.setdefault(_class_key(g), [g, 0])[1] += 1
+        if hits:
+            aut = automorphism_count(h)
+            for key, (g, count) in hits.items():
+                if count != aut:
+                    raise CertificationError(
+                        "order %d class %s was reached %d times from its parent %s, "
+                        "not |Aut(H)| = %d" % (n, graph6.encode(g), count, text, aut)
+                    )
+                found.append((key, g))
+    return found
 
 
 def _class_key(g: Graph) -> int:
@@ -526,18 +543,18 @@ def _class_key(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # checkpoints (plain text, atomic replace)
 
-_CKPT_MAGIC = "trideg-checkpoint v2"
-_CKPT_COUNTER_MAGIC = "trideg-checkpoint v1"  # the retired labeled counter scan
+_CKPT_MAGIC = "trideg-checkpoint v3"
+_CKPT_RETIRED = {"trideg-checkpoint v1": "counter", "trideg-checkpoint v2": "hit-count"}
 _CKPT_SUM = "crc32 "
 
 
 def _write_checkpoint(path, config, cursor, classes):
-    """Replace the checkpoint file: the slices done, then one line per class,
-    '<graph6 representative> <hits>', then 'crc32 <8 hex digits>', the
-    CRC-32 of all the bytes before that last line."""
+    """Replace the checkpoint file: the slices done, then one graph6
+    representative per class, then 'crc32 <8 hex digits>', the CRC-32 of all
+    the bytes before that last line."""
     lines = [_CKPT_MAGIC] + ["%s=%d" % kv for kv in dict(config, cursor=cursor).items()]
     lines.append("classes:")
-    lines += ["%s %d" % (graph6.encode(g), hits) for g, hits in classes.values()]
+    lines += [graph6.encode(g) for g in classes.values()]
     body = "\n".join(lines) + "\n"
     tmp = "%s.tmp.%d" % (path, os.getpid())
     with open(tmp, "w") as fh:
@@ -557,11 +574,12 @@ def _read_checkpoint(path, config):
     A malformed file raises CheckpointError naming the file and the field or
     line: text that is not ASCII, a missing or wrong checksum line (an
     edited, damaged or cut-short file), a missing or non-integer field, a
-    cursor that is not a slice count, a class line that does not decode to a
-    triangle-distinct graph of the run's order or repeats a class, or a hit
-    count below 1.  A file of the retired counter format says so.  A
-    well-formed file written for another configuration raises a plain
-    ValueError.  Header keys this version does not write are ignored.
+    cursor that is not a slice count, or a class line that is not the graph6
+    string of a triangle-distinct graph of the run's order or repeats a
+    class.  A file of a retired format (v1, the counter scan; v2, with a hit
+    count per class) says so.  A well-formed file written for another
+    configuration raises a plain ValueError.  Header keys this version does
+    not write are ignored.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -570,10 +588,10 @@ def _read_checkpoint(path, config):
     except UnicodeDecodeError:
         raise CheckpointError("checkpoint %s is not ASCII text" % path) from None
     lines = text.splitlines()
-    if lines and lines[0] == _CKPT_COUNTER_MAGIC:
+    if lines and lines[0] in _CKPT_RETIRED:
         raise CheckpointError(
-            "checkpoint %s is in the old counter format (%s), which this version "
-            "cannot resume; delete it to scan afresh" % (path, _CKPT_COUNTER_MAGIC)
+            "checkpoint %s is in the old %s format (%s), which this version "
+            "cannot resume; delete it to scan afresh" % (path, _CKPT_RETIRED[lines[0]], lines[0])
         )
     if not lines or lines[0] != _CKPT_MAGIC:
         raise CheckpointError("not a checkpoint file: %s" % path)
@@ -617,23 +635,19 @@ def _read_checkpoint(path, config):
         if not line:
             continue
         where = "checkpoint %s line %d" % (path, lineno)
-        text, _, count = line.partition(" ")
         try:
-            g = graph6.decode(text)
-            hits = int(count)
+            g = graph6.decode(line)
         except ValueError as exc:
-            raise CheckpointError("%s: expected '<graph6> <hits>': %s" % (where, exc)) from None
+            raise CheckpointError("%s: expected a graph6 class: %s" % (where, exc)) from None
         if g.n != n:
             raise CheckpointError("%s: class of order %d, expected %d" % (where, g.n, n))
-        if hits < 1:
-            raise CheckpointError("%s: hit count %d, expected at least 1" % (where, hits))
         try:
             key = _class_key(g)
         except CertificationError as exc:
             raise CheckpointError("%s: %s" % (where, exc)) from None
         if key in classes:
-            raise CheckpointError("%s: repeats the class of %s" % (where, graph6.encode(classes[key][0])))
-        classes[key] = [g, hits]
+            raise CheckpointError("%s: repeats the class of %s" % (where, graph6.encode(classes[key])))
+        classes[key] = g
     return cursor, classes
 
 
@@ -648,11 +662,11 @@ def _scan(
     max_edges=None,
     workers=None,
     checkpoint_path=None,
-    chunk_limit=None,
     progress=None,
 ):
     """Build the levels and extend level n - 1 for one configuration; return
-    {class key: [representative Graph, hits]} in order of discovery.
+    {class key: representative Graph} in order of discovery.  A class found
+    from a second parent raises CertificationError.
 
     progress(graphs extended, level size) is called once per extension
     slice, never while the levels are built.
@@ -665,69 +679,47 @@ def _scan(
     cursor, classes = 0, {}
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, classes = _read_checkpoint(checkpoint_path, config)
-    start, slices = cursor, _slice_count(n)
+    slices = _slice_count(n)
     if workers is None:
         workers = default_workers()
 
-    def absorb(hits):
+    def absorb(found):
         nonlocal cursor
-        for rows in hits:
-            g = Graph._trusted(n, rows)
-            classes.setdefault(_class_key(g), [g, 0])[1] += 1
+        for key, g in found:
+            if key in classes:
+                raise CertificationError(
+                    "order %d class %s was reached from a second parent" % (n, graph6.encode(g))
+                )
+            classes[key] = g
         cursor += 1
         if checkpoint_path:
             _write_checkpoint(checkpoint_path, config, cursor, classes)
-
-    def interrupted(reason):
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, config, cursor, classes)
-        return SearchInterrupted(
-            "%s at slice %d of %d%s"
-            % (
-                reason,
-                cursor,
-                slices,
-                "; resume from %s" % checkpoint_path if checkpoint_path else "",
-            ),
-            checkpoint_path,
-            cursor,
-            slices,
-        )
 
     try:
         with _runner(workers if slices > 1 else 1) as run:
             level = _levels(n, regular_d, max_edges, run)[-1]
             tasks = [(part, n, regular_d, max_edges) for part in _slices(level, slices)[cursor:]]
-            for hits in run(_extend_slice, tasks):
-                absorb(hits)
+            for found in run(_extend_slice, tasks):
+                absorb(found)
                 if progress:
                     progress(cursor * len(level) // slices, len(level))
-                if chunk_limit is not None and cursor - start >= chunk_limit and cursor < slices:
-                    raise interrupted("stopped after %d slices" % (cursor - start))
     except KeyboardInterrupt:
-        raise interrupted("interrupted") from None
+        if checkpoint_path:
+            _write_checkpoint(checkpoint_path, config, cursor, classes)
+        resume = "; resume from %s" % checkpoint_path if checkpoint_path else ""
+        raise SearchInterrupted(
+            "interrupted at slice %d of %d%s" % (cursor, slices, resume), checkpoint_path, cursor, slices
+        ) from None
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return classes
 
 
 def _report(n, classes, count_automorphisms, **fields):
-    """The SearchReport of finished scans, one entry per class.
-
-    Each class must have been hit exactly sum_v |Aut(G - v)| times (see the
-    module docstring); a class hit any other number of times raises
-    CertificationError.  canonical_form runs once per class.
-    """
-    full = (1 << n) - 1
-    by_canon = {}
-    for g, hits in classes.values():
-        want = sum(automorphism_count(induced(g, full ^ 1 << v)) for v in range(n))
-        if hits != want:
-            raise CertificationError(
-                "order %d class %s was reached %d times by extension, not "
-                "sum_v |Aut(G - v)| = %d" % (n, graph6.encode(g), hits, want)
-            )
-        by_canon[canonical_form(g)] = g
+    """The SearchReport of finished scans, one entry per class of
+    {class key: representative}; the classes were certified as they were
+    found (_extend_slice, _scan), and canonical_form runs once per class."""
+    by_canon = {canonical_form(g): g for g in classes.values()}
     labelings = factorial(n)
     aut = {"aut_size": 1, "labeled_count": labelings} if count_automorphisms else {}
     entries = tuple(
@@ -751,20 +743,11 @@ def enumerate_td(
     workers: int | None = None,
     checkpoint_path=None,
     count_automorphisms: bool = False,
-    chunk_limit: int | None = None,
     progress=None,
 ) -> SearchReport:
-    """Every graph of order n, 2 <= n <= 9, reported up to isomorphism.
-
-    chunk_limit stops cooperatively after that many extension slices
-    (checkpoint_path required), raising SearchInterrupted exactly like an
-    external interrupt; it exists for tests and schedulers, not for normal
-    runs.
-    """
+    """Every graph of order n, 2 <= n <= 9, reported up to isomorphism."""
     if not 2 <= n <= 9:
         raise ValueError("enumeration supports orders 2..9, got %d" % n)
-    if chunk_limit is not None and not checkpoint_path:
-        raise ValueError("chunk_limit without checkpoint_path would lose the partial scan")
     if regular_only is not None and not 0 <= regular_only < n:
         raise ValueError("regular_only degree %d out of range for order %d" % (regular_only, n))
     if max_edges is not None and max_edges < 0:
@@ -776,7 +759,6 @@ def enumerate_td(
         max_edges=max_edges,
         workers=workers,
         checkpoint_path=checkpoint_path,
-        chunk_limit=chunk_limit,
         progress=progress,
     )
     return _report(

@@ -30,3 +30,16 @@ def random_graphs(seed, count, n_max, n_min=1):
         n = rng.randint(n_min, n_max)
         out.append(random_graph(rng, n, rng.uniform(0.1, 0.9)))
     return out
+
+
+def stop_after(slices):
+    """A search progress callback that interrupts the scan, as Ctrl-C would,
+    once it has extended that many slices."""
+    calls = []
+
+    def progress(done, total):
+        calls.append(done)
+        if len(calls) == slices:
+            raise KeyboardInterrupt
+
+    return progress

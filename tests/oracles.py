@@ -4,10 +4,12 @@ Everything here recomputes graph quantities from first principles with
 sets, explicit loops, and itertools, deliberately avoiding the bitmask
 shortcuts used by the library, so a wrong shortcut cannot confirm
 itself.  Only the documented Graph fields (n, rows) are read, one bit
-at a time.  The exception is the labeled counter scan at the end, which
-the search used before it extended unlabeled graphs: it shares the
-search's extension test, walks every labeled graph, and is itself checked
-against the one-counter-at-a-time scan_chunk_slow.
+at a time.  The exceptions are two retired search rules kept as
+references, which share the search's tie-class generator: the extension by
+every G - v (sum_v_classes), which the search used before canonical
+deletion, and the labeled counter scan at the end, which it used before it
+extended unlabeled graphs; that one walks every labeled graph and is itself
+checked against the one-counter-at-a-time scan_chunk_slow.
 """
 
 import decimal
@@ -17,8 +19,8 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from trideg import graph6
-from trideg.graphs import Graph, is_triangle_distinct, pair_list, triangle_degrees_rows
-from trideg.search import _admits, _extends_td, _extensions, canonical_form
+from trideg.graphs import Graph, induced, is_triangle_distinct, pair_list, triangle_degrees_rows
+from trideg.search import _admits, _extensions, automorphism_count, canonical_form
 
 
 def edge_set(g):
@@ -99,11 +101,13 @@ def isomorphic_slow(g, h):
 
 
 def automorphism_count_slow(g):
+    """The permutations of all n! that map every edge to an edge; a
+    permutation is one-to-one on pairs, so those map the edges onto the
+    edges."""
     edges = edge_set(g)
     count = 0
     for perm in permutations(range(g.n)):
-        mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in edges}
-        if mapped == edges:
+        if all(tuple(sorted((perm[a], perm[b]))) in edges for a, b in edges):
             count += 1
     return count
 
@@ -271,6 +275,55 @@ def grow_slice_all(args):
     return found
 
 
+def extends_td(rows, t_h, nbhd):
+    """Whether H plus vertex 0 joined to nbhd is triangle-distinct, with no
+    condition on which vertex has the largest triangle degree: the search's
+    extension test before canonical deletion.  Arguments as for
+    search._extends_td."""
+    seen = 0
+    twice0 = 0
+    for v in range(1, len(rows)):
+        t = t_h[v]
+        if nbhd >> v & 1:
+            c = (nbhd & rows[v]).bit_count()
+            twice0 += c
+            t += c
+        bit = 1 << t
+        if seen & bit:
+            return False
+        seen |= bit
+    return not seen & (1 << (twice0 >> 1))
+
+
+def sum_v_classes(level, n):
+    """The canonical forms of the triangle-distinct graphs of order n, by the
+    extension the search used before canonical deletion: every graph H of
+    level (every graph of order n - 1) is joined to vertex 0 by every N of
+    search._extensions that extends_td accepts.  Each class G is then hit
+    once per isomorphism from the level's copy of G - v onto G - v, for each
+    v, and an AssertionError is raised unless its hits number
+    sum_v |Aut(G - v)|."""
+    hits, reps = {}, {}
+    for text in level:
+        h = graph6.decode(text)
+        rows = [0] + [r << 1 for r in h.rows]
+        t_h = triangle_degrees_rows(rows)
+        ties = {}
+        for v in range(1, n):
+            ties[t_h[v]] = ties.get(t_h[v], 0) | 1 << v
+        for nbhd in _extensions(tuple(ties.values())):
+            if extends_td(rows, t_h, nbhd):
+                g = Graph(n, [nbhd] + [r | (nbhd >> v & 1) for v, r in enumerate(rows) if v])
+                canon = canonical_form(g)
+                hits[canon] = hits.get(canon, 0) + 1
+                reps.setdefault(canon, g)
+    full = (1 << n) - 1
+    for canon, g in reps.items():
+        want = sum(automorphism_count(induced(g, full ^ 1 << v)) for v in range(n))
+        assert hits[canon] == want, (canon, hits[canon], want)
+    return set(hits)
+
+
 # ---------------------------------------------------------------------------
 # the retired labeled counter scan, kept as the n <= 8 oracle of the search
 
@@ -288,7 +341,7 @@ def scan_chunk(args):
     hi * 2^(n-1) + lo, where hi encodes H = G - 0 on vertices 1..n-1 and lo
     vertex 0's neighbourhood N.  The range must be aligned to 2^(n-1)
     counters, one block per H; an unaligned one raises ValueError.  Each H is
-    extended by the search's own _extensions and _extends_td.
+    extended by the search's own _extensions and by extends_td.
     """
     n, start, end, regular_d, max_edges = args
     k = n - 1
@@ -330,7 +383,7 @@ def scan_chunk(args):
             else:
                 if nbhd.bit_count() == regular_d <= room:
                     candidates += 1
-                    if _extends_td(rows, triangle_degrees_rows(rows), nbhd):
+                    if extends_td(rows, triangle_degrees_rows(rows), nbhd):
                         hits.append(base | nbhd >> 1)
             continue
         candidates += with_room[room]
@@ -343,7 +396,7 @@ def scan_chunk(args):
         if todo is None:
             todo = extensions[key] = _extensions(key)
         for nbhd in todo:
-            if nbhd.bit_count() <= room and _extends_td(rows, t_h, nbhd):
+            if nbhd.bit_count() <= room and extends_td(rows, t_h, nbhd):
                 hits.append(base | nbhd >> 1)
     return end - start, candidates, hits
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import zlib
 
 import pytest
@@ -8,6 +9,7 @@ import oracles
 import trideg.bounds as bounds
 import trideg.cli as cli
 import trideg.search as search
+from conftest import stop_after
 from trideg.bounds import BoundEntry, BoundsReport
 from trideg.construction import CertificationError
 from trideg.graph6 import encode
@@ -324,7 +326,7 @@ def test_check_unwritable_json_is_exit_3(capsys, tmp_path, g7):
 
 # A checkpoint for `search --n 5`: no slice extended, no class found.
 _CKPT_HEADER = [
-    "trideg-checkpoint v2",
+    "trideg-checkpoint v3",
     "order=5",
     "regular=-1",
     "max_edges=-1",
@@ -366,6 +368,15 @@ def test_checkpoint_counter_format_is_exit_3(capsys, tmp_path):
     assert ckpt.exists()  # left for the user to delete
 
 
+def test_checkpoint_hit_count_format_is_exit_3(capsys, tmp_path):
+    # a checkpoint of the extension by every G - v, one hit count per class
+    lines = ["trideg-checkpoint v2"] + _CKPT_HEADER[1:]
+    code, out, err, path = _resume(capsys, tmp_path, lines)
+    assert code == 3 and out == ""
+    assert path in err and "old hit-count format (trideg-checkpoint v2)" in err
+    assert os.path.exists(path)
+
+
 def test_checkpoint_non_integer_value_is_exit_3(capsys, tmp_path):
     lines = [ln.replace("cursor=0", "cursor=abc") for ln in _CKPT_HEADER]
     code, _, err, path = _resume(capsys, tmp_path, lines)
@@ -381,14 +392,14 @@ def test_checkpoint_missing_key_is_exit_3(capsys, tmp_path):
 
 
 def test_checkpoint_undecodable_hit_is_exit_3(capsys, tmp_path):
-    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D\x7f! 1"])
+    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D\x7f!"])
     assert code == 3
     assert path in err and "line 7" in err
 
 
 def test_checkpoint_non_distinct_class_is_exit_3(capsys, tmp_path):
     # D?? decodes (the empty graph of order 5) but is no triangle-distinct class
-    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D?? 1"])
+    code, _, err, path = _resume(capsys, tmp_path, _CKPT_HEADER + ["D??"])
     assert code == 3
     assert path in err and "line 7" in err and "not triangle-distinct" in err
 
@@ -419,17 +430,18 @@ def test_checkpoint_without_checksum_is_exit_3(capsys, tmp_path):
     assert str(ckpt) in err and "no checksum line" in err
 
 
-def test_checkpoint_edited_hit_count_is_exit_3(capsys, tmp_path):
-    # a class line whose hit count was edited but stays >= 1 is well formed,
-    # so only the checksum tells it from the file the scan wrote
+def test_checkpoint_edited_class_line_is_exit_3(capsys, tmp_path, g7):
+    # a class line edited to another labeling of a triangle-distinct graph
+    # is well formed, so only the checksum tells it from the file the scan
+    # wrote
     ckpt = tmp_path / "scan.ckpt"
     with pytest.raises(SearchInterrupted):
-        search.enumerate_td(7, workers=1, checkpoint_path=str(ckpt), chunk_limit=20)
+        search.enumerate_td(7, workers=1, checkpoint_path=str(ckpt), progress=stop_after(20))
     text = ckpt.read_text()
     head, body = text.split("classes:\n")
     (class_line, checksum) = body.splitlines()
-    assert class_line.endswith(" 1") and checksum.startswith("crc32 ")
-    ckpt.write_text("%sclasses:\n%s2\n%s\n" % (head, class_line[:-1], checksum))
+    assert class_line != encode(g7.graph) and checksum.startswith("crc32 ")
+    ckpt.write_text("%sclasses:\n%s\n%s\n" % (head, encode(g7.graph), checksum))
     argv = ["search", "--n", "7", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
     code, out, err = run(argv, capsys)
     assert code == 3 and out == ""
@@ -439,21 +451,18 @@ def test_checkpoint_edited_hit_count_is_exit_3(capsys, tmp_path):
     assert code == 0 and json.loads(out)["td_classes"][0]["graph6"] == "FBnnw"
 
 
-def test_search_miscounted_classes_is_exit_4(capsys, monkeypatch, g7):
-    # the order-7 class hit once, not sum_v |Aut(G - v)| times
-    calls = []
-
-    def one_hit(args):
-        calls.append(args)
-        return [g7.graph.rows] if len(calls) == 1 else []
-
-    monkeypatch.setattr(search, "_extend_slice", one_hit)
-    with pytest.raises(CertificationError):
-        search.enumerate_td(7, workers=1)
-    calls.clear()
-    code, out, err = run(["search", "--n", "7", "--workers", "1", "--quiet"], capsys)
-    assert code == 4 and out == ""
-    assert "certification" in err and "sum_v |Aut(G - v)|" in err
+def test_search_miscounted_classes_is_exit_4(capsys, monkeypatch):
+    # the order-7 class is hit once from its parent, which is made to
+    # count two automorphisms
+    real = search.automorphism_count
+    monkeypatch.setattr(search, "automorphism_count", lambda h: real(h) + 1)
+    for workers in (1, 2):
+        with pytest.raises(CertificationError):
+            search.enumerate_td(7, workers=workers)
+        code, out, err = run(["search", "--n", "7", "--workers", str(workers), "--quiet"], capsys)
+        assert code == 4 and out == ""
+        assert "certification" in err and "reached 1 times from its parent" in err
+        assert "not |Aut(H)| = 2" in err
 
 
 def test_checkpoint_cursor_off_chunk_grid_is_exit_3(capsys, tmp_path):
@@ -465,15 +474,15 @@ def test_checkpoint_cursor_off_chunk_grid_is_exit_3(capsys, tmp_path):
         assert path in err and "cursor=" + cursor in err
 
 
-def test_checkpoint_bad_hit_count_is_exit_3(capsys, tmp_path, g7):
+def test_checkpoint_bad_class_line_is_exit_3(capsys, tmp_path, g7):
     header = [ln.replace("order=5", "order=7") for ln in _CKPT_HEADER]
     ckpt = tmp_path / "scan.ckpt"
     argv = ["search", "--n", "7", "--workers", "1", "--quiet", "--checkpoint", str(ckpt)]
     cases = (
-        ("FBnnw 0", 7, "hit count 0"),
-        ("FBnnw x", 7, "expected '<graph6> <hits>'"),
-        ("FBnnw", 7, "expected '<graph6> <hits>'"),
-        ("FBnnw 2\n%s 1" % encode(g7.graph), 8, "repeats the class of FBnnw"),
+        ("FBnnw 1", 7, "expected a graph6 class"),  # a class line of format v2
+        ("FBnn", 7, "expected a graph6 class"),
+        ("D??", 7, "class of order 5, expected 7"),
+        ("FBnnw\n%s" % encode(g7.graph), 8, "repeats the class of FBnnw"),
     )
     for line, lineno, why in cases:
         ckpt.write_text(_checkpoint_text(header + [line]))

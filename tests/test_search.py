@@ -5,12 +5,13 @@ import os
 import random
 import time
 from collections import Counter
+from functools import cache
 
 import pytest
 
 import oracles
 import trideg.search as search
-from conftest import all_graphs, random_graphs
+from conftest import all_graphs, random_graphs, stop_after
 from trideg.construction import CertificationError
 from trideg.graph6 import decode, encode
 from trideg.graphs import (
@@ -69,7 +70,7 @@ def test_negative_max_edges_rejected(tmp_path):
     # resume as an unfiltered scan
     ckpt = tmp_path / "ck"
     with pytest.raises(ValueError, match="max_edges"):
-        enumerate_td(7, max_edges=-1, workers=1, checkpoint_path=str(ckpt), chunk_limit=1)
+        enumerate_td(7, max_edges=-1, workers=1, checkpoint_path=str(ckpt))
     assert not ckpt.exists()
 
 
@@ -239,8 +240,6 @@ def test_enumerate_validation():
     with pytest.raises(ValueError):
         probe_regular(10)
     with pytest.raises(ValueError):
-        enumerate_td(5, chunk_limit=1)  # checkpoint required to resume
-    with pytest.raises(ValueError):
         enumerate_td(5, regular_only=5)
     with pytest.raises(ValueError):
         enumerate_td(5, regular_only=-1)
@@ -261,32 +260,34 @@ def test_default_workers_env(monkeypatch):
 
 def test_checkpoint_interrupt_and_resume(tmp_path):
     # the order-7 extension runs in 32 slices of the 156 graphs of order 6,
-    # and the checkpoint tracks the slices done and the classes found
-    ckpt = str(tmp_path / "scan.ckpt")
+    # and the checkpoint tracks the slices done and the classes found; an
+    # interrupt during the scan writes it and raises SearchInterrupted
     fresh = enumerate_td(7, workers=1, count_automorphisms=True)
-    with pytest.raises(SearchInterrupted) as ei:
-        enumerate_td(7, workers=1, checkpoint_path=ckpt, chunk_limit=1, count_automorphisms=True)
-    first_cursor = ei.value.cursor
-    assert 0 < first_cursor < ei.value.total == 32
-    assert ei.value.checkpoint_path == ckpt
-    assert (tmp_path / "scan.ckpt").exists()
+    for workers in (1, 2):
+        ckpt = str(tmp_path / ("scan%d.ckpt" % workers))
+        run = dict(workers=workers, checkpoint_path=ckpt, count_automorphisms=True)
+        with pytest.raises(SearchInterrupted) as ei:
+            enumerate_td(7, progress=stop_after(1), **run)
+        assert ei.value.cursor == 1 and ei.value.total == 32
+        assert ei.value.checkpoint_path == ckpt and "resume from " + ckpt in str(ei.value)
+        assert os.path.exists(ckpt)
 
-    with pytest.raises(SearchInterrupted) as ei:
-        enumerate_td(7, workers=2, checkpoint_path=ckpt, chunk_limit=20, count_automorphisms=True)
-    assert ei.value.cursor == first_cursor + 20  # resumed, not restarted
-    *class_lines, checksum = open(ckpt).read().split("classes:\n")[1].splitlines()
-    assert [canonical_form(decode(line.split()[0])) for line in class_lines] == ["FBnnw"]
-    assert checksum.startswith("crc32 ")
+        with pytest.raises(SearchInterrupted) as ei:
+            enumerate_td(7, progress=stop_after(20), **run)
+        assert ei.value.cursor == 21  # resumed, not restarted
+        *class_lines, checksum = open(ckpt).read().split("classes:\n")[1].splitlines()
+        assert [canonical_form(decode(line)) for line in class_lines] == ["FBnnw"]
+        assert checksum.startswith("crc32 ")
 
-    resumed = enumerate_td(7, workers=1, checkpoint_path=ckpt, count_automorphisms=True)
-    assert report_text(resumed) == report_text(fresh)
-    assert not (tmp_path / "scan.ckpt").exists()  # removed after success
+        resumed = enumerate_td(7, **run)
+        assert report_text(resumed) == report_text(fresh)
+        assert not os.path.exists(ckpt)  # removed after success
 
 
 def test_checkpoint_rejects_mismatched_config(tmp_path):
     ckpt = str(tmp_path / "scan.ckpt")
     with pytest.raises(SearchInterrupted):
-        enumerate_td(7, max_edges=0, workers=1, checkpoint_path=ckpt, chunk_limit=1)
+        enumerate_td(7, max_edges=0, workers=1, checkpoint_path=ckpt, progress=stop_after(1))
     with pytest.raises(ValueError):
         enumerate_td(7, max_edges=1, workers=1, checkpoint_path=ckpt)
 
@@ -426,13 +427,9 @@ def test_levels_match_graph_atlas(unpruned_levels):
     assert [set(level) for level in unpruned_levels[:7]] == [by_order[k] for k in range(1, 8)]
 
 
-def _hit_classes(hits, n):
-    return Counter(search._class_key(Graph(n, rows)) for rows in hits)
-
-
 def test_pruned_levels_give_the_same_classes(unpruned_levels):
-    # extending the pruned level n - 1 finds exactly the hits, class by class
-    # and with multiplicity, that extending every graph of order n - 1 finds
+    # extending the pruned level n - 1 finds exactly the classes, in the
+    # same order, that extending every graph of order n - 1 finds
     for n in range(2, 8):
         nbits = n * (n - 1) // 2
         configs = [(None, e) for e in range(0, nbits + 1, 1 if n < 7 else 3)]
@@ -441,9 +438,9 @@ def test_pruned_levels_give_the_same_classes(unpruned_levels):
             pruned = search._levels(n, d, e, map)
             assert all(search._admits(decode(t), n, d, e) for level in pruned for t in level)
             assert set(pruned[-1]) <= set(unpruned_levels[n - 2])
-            got = _hit_classes(search._extend_slice((pruned[-1], n, d, e)), n)
-            want = _hit_classes(search._extend_slice((unpruned_levels[n - 2], n, d, e)), n)
-            assert got == want, (n, d, e)
+            got = search._extend_slice((pruned[-1], n, d, e))
+            want = search._extend_slice((unpruned_levels[n - 2], n, d, e))
+            assert [key for key, _ in got] == [key for key, _ in want], (n, d, e)
     # the order-7 probe's level 6 keeps 8 of the 156 graphs
     assert len(search._levels(7, 4, None, map)[-1]) == 8
 
@@ -466,6 +463,44 @@ def test_engine_matches_labeled_scan():
         assert search._scan(n, regular_d=d, max_edges=e, workers=1).keys() == labeled.keys()
         found += len(labeled)
     assert found == 2  # the order-7 class, unfiltered and under the cap 16
+
+
+def _top_deletion_matches_sum_v(monkeypatch, level, n, configs):
+    """Scan each (regular degree, edge cap) of order n with the parents'
+    automorphisms counted by brute force, so each class's hits from its
+    parent are checked against that count, and compare the classes with
+    those of the extension of level (every graph of order n - 1) by every
+    G - v, filtered by the configuration."""
+    monkeypatch.setattr(search, "automorphism_count", cache(oracles.automorphism_count_slow))
+    every = [decode(text) for text in oracles.sum_v_classes(level, n)]
+    for d, e in configs:
+        want = {
+            encode(g)
+            for g in every
+            if (e is None or len(oracles.edge_set(g)) <= e)
+            and (d is None or set(oracles.degree_list(g)) == {d})
+        }
+        classes = search._scan(n, regular_d=d, max_edges=e, workers=1)
+        assert {canonical_form(g) for g in classes.values()} == want, (n, d, e)
+
+
+def test_top_deletion_matches_sum_v_oracle(monkeypatch, unpruned_levels):
+    # every configuration through order 8: unpruned, each edge cap, each
+    # regular degree (the probes' among them), each with the caps either
+    # side of n*d/2
+    for n in range(2, 9):
+        nbits = n * (n - 1) // 2
+        configs = [(None, None)] + [(None, e) for e in range(nbits + 1)] + [(d, None) for d in range(n)]
+        configs += [(d, n * d // 2 + c) for d in range(n) for c in (-1, 0) if n * d // 2 + c >= 0]
+        _top_deletion_matches_sum_v(monkeypatch, unpruned_levels[n - 2], n, configs)
+
+
+@pytest.mark.long
+@pytest.mark.skipif(not os.environ.get("TRIDEG_LONG_TESTS"), reason="set TRIDEG_LONG_TESTS=1 to run")
+def test_top_deletion_matches_sum_v_oracle_at_order_9(monkeypatch, unpruned_levels):
+    # unpruned, the smallest cap with classes, and the probe's one degree
+    configs = [(None, None), (None, 17)] + [(d, None) for d in regular_window_degrees(9)]
+    _top_deletion_matches_sum_v(monkeypatch, unpruned_levels[7], 9, configs)
 
 
 def test_regular_count_matches_levels_and_labeled_scans():
@@ -512,28 +547,37 @@ def test_enumerate_order_9():
 
 
 def test_non_distinct_hit_fails_certification(monkeypatch):
-    def empty_hit(args):
-        parents, n, _, _ = args
-        return [(0,) * n] if parents else []
-
-    monkeypatch.setattr(search, "_extend_slice", empty_hit)
+    monkeypatch.setattr(search, "_extends_td", lambda rows, t_h, nbhd: True)
     with pytest.raises(CertificationError, match="not triangle-distinct"):
         enumerate_td(5, workers=1)
 
 
 def test_missing_labelings_fail_certification(monkeypatch):
-    # dropping one genuine hit leaves its class short of sum_v |Aut(G - v)|
-    real = search._extend_slice
-    dropped = []
+    # dropping the first N each parent would accept leaves the classes of
+    # the five order-7 parents with two automorphisms one hit short of
+    # |Aut(H)|; the other classes, hit once, are lost unseen
+    real = search._extends_td
+    dropped = set()
 
-    def drop_first(args):
-        hits = real(args)
-        if hits and not dropped:
-            dropped.append(hits.pop())
-        return hits
+    def drop_first(rows, t_h, nbhd):
+        if real(rows, t_h, nbhd):
+            if tuple(rows) in dropped:
+                return True
+            dropped.add(tuple(rows))
+        return False
 
-    monkeypatch.setattr(search, "_extend_slice", drop_first)
-    with pytest.raises(CertificationError, match=r"sum_v \|Aut\(G - v\)\|"):
+    monkeypatch.setattr(search, "_extends_td", drop_first)
+    for workers in (1, 2):
+        dropped.clear()
+        with pytest.raises(CertificationError, match=r"reached 1 times from its parent .*, not \|Aut\(H\)\| = 2"):
+            enumerate_td(8, workers=workers)
+
+
+def test_class_from_a_second_parent_fails_certification(monkeypatch):
+    # with no condition on which vertex is 0, the order-7 class is found
+    # from each of its seven G - v, which are pairwise non-isomorphic, and
+    # |Aut(G - v)| times from each, so only the second parent is wrong
+    monkeypatch.setattr(search, "_extends_td", oracles.extends_td)
+    with pytest.raises(CertificationError, match="from a second parent"):
         enumerate_td(7, workers=1)
-    assert dropped
 
