@@ -59,7 +59,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb, isqrt
 
-from .graphs import Graph, complement, triangle_degrees
+from .graphs import Graph, _distinct, complement, triangle_degrees
 
 
 # Fractional bits the term chain starts with; it doubles them as needed.
@@ -185,7 +185,7 @@ class _Facts:
 
     def __init__(self, g: Graph, what: str | None = None, c: Fraction | None = None):
         self.t = triangle_degrees(g)
-        self.td = g.n >= 2 and len(set(self.t)) == g.n
+        self.td = _distinct(self.t)
         if what and not self.td:
             raise NotTriangleDistinct("%s applies to triangle-distinct graphs only" % what, self.t)
         n = self.n = g.n

@@ -143,7 +143,7 @@ def _cmd_construct(args) -> int:
         payload = {"schema_version": 1, "kind": "construct"}
         payload.update(gc.to_json_dict())
         payload["rank_to_vertex_1based"] = [v + 1 for v in gc.labels]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _dump_json(payload, None)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -39,7 +39,8 @@ A certification failure raises CertificationError: it means the code is
 wrong, and it must never be downgraded to a warning.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .graphs import Graph, from_edges, triangle_degrees
 
@@ -56,6 +57,18 @@ _G7_EDGES_1BASED = (
     (4, 5),
     (5, 7),
 )
+
+
+# The Certificate fields that are None where they do not apply.
+_OPTIONAL_CHECKS = (
+    "incremental_match",
+    "tri_min_positive",
+    "deg_min_positive",
+    "edge_identity",
+    "non_regular",
+    "pendant_tail",
+)
+_optional_checks = attrgetter(*_OPTIONAL_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -87,18 +100,11 @@ class Certificate:
 
     @property
     def passed(self) -> bool:
-        checks = [self.strict_tri_descent, self.weak_deg_descent]
-        for extra in (
-            self.incremental_match,
-            self.tri_min_positive,
-            self.deg_min_positive,
-            self.edge_identity,
-            self.non_regular,
-            self.pendant_tail,
-        ):
-            if extra is not None:
-                checks.append(extra)
-        return all(checks)
+        return (
+            self.strict_tri_descent
+            and self.weak_deg_descent
+            and False not in _optional_checks(self)
+        )
 
     def to_json_dict(self) -> dict:
         d = {
@@ -111,15 +117,7 @@ class Certificate:
             "recomputed": self.recomputed,
             "passed": self.passed,
         }
-        for name in (
-            "incremental_match",
-            "tri_min_positive",
-            "deg_min_positive",
-            "edge_identity",
-            "non_regular",
-            "pendant_tail",
-        ):
-            value = getattr(self, name)
+        for name, value in zip(_OPTIONAL_CHECKS, _optional_checks(self)):
             if value is not None:
                 d[name] = value
         return d
@@ -160,56 +158,37 @@ class ConstructedGraph:
         }
 
 
-def _descent_flags(tri, deg):
-    strict = all(a > b for a, b in zip(tri, tri[1:]))
-    weak = all(a >= b for a, b in zip(deg, deg[1:]))
-    return strict, weak
-
-
-def _parity_checks(n, m, tri, deg):
-    """Parity-specific certificate fields as a dict of keyword arguments."""
+def _certify(graph, tri, deg, labels=None) -> Certificate:
+    """Certificate for graph from its rank sequences tri and deg.  With
+    labels, both sequences are recounted from the rows and the recount must
+    match them (incremental_match); the certificate then holds the recount."""
+    match = None
+    if labels is not None:
+        tri_by_vertex = triangle_degrees(graph)
+        deg_by_vertex = graph.degrees()
+        recount = tuple(tri_by_vertex[v] for v in labels), tuple(deg_by_vertex[v] for v in labels)
+        match = recount == (tuple(tri), tuple(deg))
+        tri, deg = recount
+    n, m = graph.n, graph.m
     if n % 2 == 1:
-        return {
+        parity = {
             "tri_min_positive": tri[-1] > 0,
             "deg_min_positive": deg[-1] > 0,
             "edge_identity": m == tri[0] + deg[0],
             "non_regular": len(set(deg)) > 1,
         }
-    return {"pendant_tail": tri[-1] == 0 and deg[-1] == 1}
-
-
-def _certify_incremental(graph, labels, tri, deg) -> Certificate:
-    strict, weak = _descent_flags(tri, deg)
+    else:
+        parity = {"pendant_tail": tri[-1] == 0 and deg[-1] == 1}
     return Certificate(
-        n=graph.n,
-        m=graph.m,
+        n=n,
+        m=m,
         tri_by_rank=tri,
         deg_by_rank=deg,
-        strict_tri_descent=strict,
-        weak_deg_descent=weak,
-        recomputed=False,
-        **_parity_checks(graph.n, graph.m, tri, deg),
-    )
-
-
-def _certify_full(graph, labels, expected_tri, expected_deg) -> Certificate:
-    """Recount everything from the rows and cross-check the bookkeeping."""
-    tri_by_vertex = triangle_degrees(graph)
-    deg_by_vertex = graph.degrees()
-    tri = tuple(tri_by_vertex[v] for v in labels)
-    deg = tuple(deg_by_vertex[v] for v in labels)
-    strict, weak = _descent_flags(tri, deg)
-    match = tri == tuple(expected_tri) and deg == tuple(expected_deg)
-    return Certificate(
-        n=graph.n,
-        m=graph.m,
-        tri_by_rank=tri,
-        deg_by_rank=deg,
-        strict_tri_descent=strict,
-        weak_deg_descent=weak,
-        recomputed=True,
+        strict_tri_descent=all(a > b for a, b in zip(tri, tri[1:])),
+        weak_deg_descent=all(a >= b for a, b in zip(deg, deg[1:])),
+        recomputed=labels is not None,
         incremental_match=match,
-        **_parity_checks(graph.n, graph.m, tri, deg),
+        **parity,
     )
 
 
@@ -217,9 +196,7 @@ def base_g7() -> ConstructedGraph:
     """The seven-vertex seed, fully certified."""
     g = from_edges(7, [(a - 1, b - 1) for a, b in _G7_EDGES_1BASED])
     labels = tuple(range(7))
-    tri = triangle_degrees(g)
-    deg = g.degrees()
-    cert = _certify_full(g, labels, tri, deg)
+    cert = _certify(g, triangle_degrees(g), g.degrees(), labels)
     if not cert.passed:
         raise CertificationError("seed graph failed certification: %r" % (cert,))
     return ConstructedGraph(g, labels, cert)
@@ -247,7 +224,7 @@ def extend_pendant(gc: ConstructedGraph) -> ConstructedGraph:
     # A pendant closes no triangle and enlarges no neighborhood's edge set.
     tri = cert.tri_by_rank + (0,)
     deg2 = tuple(d + 1 if r == k - 1 else d for r, d in enumerate(deg)) + (1,)
-    new_cert = _certify_incremental(graph, labels, tri, deg2)
+    new_cert = _certify(graph, tri, deg2)
     if not new_cert.passed:
         raise CertificationError("pendant step broke the rank invariants")
     return ConstructedGraph(graph, labels, new_cert)
@@ -274,7 +251,7 @@ def extend_universal(gc: ConstructedGraph) -> ConstructedGraph:
         t + d for t, d in zip(cert.tri_by_rank, cert.deg_by_rank)
     )
     deg = (n,) + tuple(d + 1 for d in cert.deg_by_rank)
-    new_cert = _certify_incremental(graph, labels, tri, deg)
+    new_cert = _certify(graph, tri, deg)
     if not new_cert.passed:
         raise CertificationError("universal step broke the rank invariants")
     return ConstructedGraph(graph, labels, new_cert)
@@ -295,9 +272,7 @@ def construct(n: int) -> ConstructedGraph:
     gc = base_g7()
     while gc.n < n:
         gc = extend_pendant(gc) if gc.n % 2 == 1 else extend_universal(gc)
-    cert = _certify_full(
-        gc.graph, gc.labels, gc.certificate.tri_by_rank, gc.certificate.deg_by_rank
-    )
+    cert = _certify(gc.graph, gc.certificate.tri_by_rank, gc.certificate.deg_by_rank, gc.labels)
     if not cert.passed:
         raise CertificationError(
             "final certification failed at n=%d: %r" % (n, cert.to_json_dict())

@@ -11,18 +11,20 @@ for a graph of order n when it has no bits at position n or above.
 
 The triangle degree of a vertex v is the number of triangles of the graph that
 contain v, equivalently the number of edges inside the open neighborhood N(v).
-triangle_degrees (row form triangle_degrees_rows) counts the triangles on
-each edge {u, v} once, as |N(u) & N(v)|, and credits both ends; each triangle
-at v is then seen on both of its edges at v, so the sums are halved.  A graph
-on at least two vertices is triangle-distinct when all its triangle degrees
-are pairwise different.  is_triangle_distinct is the one test of that
-property; it counts vertex by vertex and stops at the first repeated value,
-so a graph that fails is rejected cheaply.
+triangle_degrees_rows (graph form triangle_degrees) is the one triangle
+counter: it counts the triangles on each edge {u, v} once, as
+|N(u) & N(v)|, and credits both ends; each triangle at v is then seen on
+both of its edges at v, so the sums are halved.  triangle_degree(g, v) reads
+one value of its output.  A graph is triangle-distinct when it has at least
+two vertices and its triangle degrees are pairwise different; _distinct
+states that rule once, and is_triangle_distinct, the bounds' facts pass and
+the search's class keys all apply it to the counter's output.
 """
 
 
 def mask_of(vertices) -> int:
-    """Bitmask with one bit per listed vertex."""
+    """Bitmask with one bit per listed vertex.  Public API with no library
+    caller."""
     m = 0
     for v in vertices:
         m |= 1 << v
@@ -136,7 +138,7 @@ class Graph:
 
 
 def degree(g: Graph, v: int) -> int:
-    """|N(v)|."""
+    """|N(v)|.  Public API with no library caller."""
     g._check_vertex(v)
     return g.rows[v].bit_count()
 
@@ -144,15 +146,7 @@ def degree(g: Graph, v: int) -> int:
 def triangle_degree(g: Graph, v: int) -> int:
     """Number of triangles containing v, i.e. edges inside N(v)."""
     g._check_vertex(v)
-    nv = g.rows[v]
-    rows = g.rows
-    total = 0
-    w = nv
-    while w:
-        low = w & -w
-        total += (rows[low.bit_length() - 1] & nv).bit_count()
-        w ^= low
-    return total >> 1
+    return triangle_degrees_rows(g.rows)[v]
 
 
 def triangle_degrees(g: Graph) -> tuple[int, ...]:
@@ -177,26 +171,16 @@ def triangle_degrees_rows(rows) -> tuple[int, ...]:
     return tuple(t >> 1 for t in twice)
 
 
+def _distinct(t) -> bool:
+    """The triangle-distinct rule on a graph's triangle degrees t: at least
+    two vertices and no value repeated."""
+    return len(t) >= 2 and len(set(t)) == len(t)
+
+
 def is_triangle_distinct(g: Graph) -> bool:
     """True iff g has at least two vertices and pairwise distinct triangle
-    degrees.  Counts the edges inside each N(v) in turn and returns False at
-    the first repeated value."""
-    rows = g.rows
-    if len(rows) < 2:
-        return False
-    seen = 0
-    for nv in rows:
-        s = 0
-        w = nv
-        while w:
-            low = w & -w
-            s += (rows[low.bit_length() - 1] & nv).bit_count()
-            w ^= low
-        bit = 1 << (s >> 1)
-        if seen & bit:
-            return False
-        seen |= bit
-    return True
+    degrees."""
+    return _distinct(triangle_degrees_rows(g.rows))
 
 
 def complement(g: Graph) -> Graph:
@@ -248,8 +232,9 @@ def cut_edges(g: Graph, a: int, b: int) -> int:
 
 # Deterministic counter <-> labeled graph correspondence.  Bit b of a counter
 # x in [0, 2^C(n,2)) is the edge pair_list(n)[b]; the order is row-major over
-# pairs (i, j) with i < j.  Exhaustive search, checkpoint cursors, and the
-# seeded samplers all share this one convention.
+# pairs (i, j) with i < j.  `trideg verify` exhausts small orders through it,
+# and the tests use it as a labeled oracle; the search extends unlabeled
+# levels instead.
 
 def pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -272,6 +257,8 @@ def graph_from_counter(n: int, x: int, pairs=None) -> Graph:
 
 
 def counter_of_graph(g: Graph) -> int:
+    """The counter x with graph_from_counter(g.n, x) == g.  Public API with
+    no library caller; the tests use it."""
     x = 0
     for b, (i, j) in enumerate(pair_list(g.n)):
         if (g.rows[i] >> j) & 1:

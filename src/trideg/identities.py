@@ -29,20 +29,16 @@ for triangle degree, and Gbar for the complement.  The three identities:
 
 The evaluators return the right-hand sides; check_graph and
 check_composition pair them with the directly counted left-hand sides so the
-command-line verifier and the test suite share one code path.
+command-line verifier and the test suite share one code path.  Every
+triangle degree here, on either side, comes from graphs.triangle_degrees:
+the checkers count each graph once, and the single-vertex evaluators count
+the whole graph and read one value.
 """
 
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import (
-    Graph,
-    complement,
-    cut_edges,
-    degree,
-    triangle_degree,
-    triangle_degrees,
-)
+from .graphs import Graph, complement, cut_edges, triangle_degrees
 
 
 @dataclass(frozen=True)
@@ -109,37 +105,37 @@ def compose(g: Graph, h: Graph) -> Graph:
     return Graph._trusted(g.n * hn, rows, h.m * g.n + g.m * hn * hn)
 
 
+def _composition_rhs(g: Graph, h: Graph, tri_g, tri_h, u: int, v: int) -> int:
+    du = g.rows[u].bit_count()
+    return tri_h[v] + h.m * du + h.n * du * h.rows[v].bit_count() + h.n * h.n * tri_g[u]
+
+
 def composition_triangle_degree(g: Graph, h: Graph, u: int, v: int) -> int:
     """Closed form for the triangle degree of (u, v) in G(H)."""
     g._check_vertex(u)
     h._check_vertex(v)
-    du = degree(g, u)
-    dv = degree(h, v)
-    return (
-        triangle_degree(h, v)
-        + h.m * du
-        + h.n * du * dv
-        + h.n * h.n * triangle_degree(g, u)
-    )
+    return _composition_rhs(g, h, triangle_degrees(g), triangle_degrees(h), u, v)
 
 
-def _comp_part(g: Graph, gbar: Graph, u: int) -> int:
-    """Tri_Gbar(u) + cut_Gbar(N_G(u), V minus N_G[u])."""
+def _comp_part(g: Graph, gbar: Graph, tri_bar, u: int) -> int:
+    """Tri_Gbar(u) + cut_Gbar(N_G(u), V minus N_G[u]); tri_bar holds Gbar's
+    triangle degrees."""
     open_nbhd = g.rows[u]
     outside_closed = ((1 << g.n) - 1) & ~open_nbhd & ~(1 << u)
-    return triangle_degree(gbar, u) + cut_edges(gbar, open_nbhd, outside_closed)
+    return tri_bar[u] + cut_edges(gbar, open_nbhd, outside_closed)
 
 
-def _lemma_comp_rhs(g: Graph, gbar: Graph, u: int) -> int:
+def _lemma_comp_rhs(g: Graph, gbar: Graph, tri_bar, u: int) -> int:
     du = g.rows[u].bit_count()
     dbar = g.n - 1 - du
-    return g.m - (1 + dbar) * du - comb(dbar, 2) + _comp_part(g, gbar, u)
+    return g.m - (1 + dbar) * du - comb(dbar, 2) + _comp_part(g, gbar, tri_bar, u)
 
 
 def lemma_comp_triangle_degree(g: Graph, u: int) -> int:
     """Closed form for Tri_G(u) via the complement decomposition."""
     g._check_vertex(u)
-    return _lemma_comp_rhs(g, complement(g), u)
+    gbar = complement(g)
+    return _lemma_comp_rhs(g, gbar, triangle_degrees(gbar), u)
 
 
 def lemma_comp_signature(g: Graph, u: int) -> tuple[int, int]:
@@ -147,10 +143,11 @@ def lemma_comp_signature(g: Graph, u: int) -> tuple[int, int]:
 
     Among vertices of equal degree, equal signatures are exactly equal
     triangle degrees, which is what makes the signature useful for collision
-    screening.
+    screening.  Public API with no library caller; the tests use it.
     """
     g._check_vertex(u)
-    return (g.rows[u].bit_count(), _comp_part(g, complement(g), u))
+    gbar = complement(g)
+    return (g.rows[u].bit_count(), _comp_part(g, gbar, triangle_degrees(gbar), u))
 
 
 def check_graph(g: Graph) -> list[IdentityCheck]:
@@ -167,7 +164,7 @@ def check_graph(g: Graph) -> list[IdentityCheck]:
         )
         checks.append(
             IdentityCheck(
-                "lemma_comp_decomposition", (u,), tri[u], _lemma_comp_rhs(g, gbar, u)
+                "lemma_comp_decomposition", (u,), tri[u], _lemma_comp_rhs(g, gbar, tri_bar, u)
             )
         )
     return checks
@@ -175,8 +172,9 @@ def check_graph(g: Graph) -> list[IdentityCheck]:
 
 def check_composition(g: Graph, h: Graph) -> list[IdentityCheck]:
     """composition identity at every vertex of G(H), formula vs direct count."""
-    gh = compose(g, h)
-    direct = triangle_degrees(gh)
+    direct = triangle_degrees(compose(g, h))
+    tri_g = triangle_degrees(g)
+    tri_h = triangle_degrees(h)
     checks = []
     for u in range(g.n):
         for v in range(h.n):
@@ -185,7 +183,7 @@ def check_composition(g: Graph, h: Graph) -> list[IdentityCheck]:
                     "composition",
                     (u, v),
                     direct[u * h.n + v],
-                    composition_triangle_degree(g, h, u, v),
+                    _composition_rhs(g, h, tri_g, tri_h, u, v),
                 )
             )
     return checks

@@ -84,6 +84,7 @@ from . import graph6
 from .construction import CertificationError
 from .graphs import (  # noqa: F401  is_triangle_distinct is re-exported
     Graph,
+    _distinct,
     is_triangle_distinct,
     triangle_degrees,
     triangle_degrees_rows,
@@ -522,7 +523,7 @@ def _class_key(g: Graph) -> int:
     hit that fails raises CertificationError.
     """
     t = triangle_degrees_rows(g.rows)
-    if g.n < 2 or len(set(t)) != g.n:
+    if not _distinct(t):
         raise CertificationError(
             "scan hit %s is not triangle-distinct: triangle degrees %s"
             % (graph6.encode(g), list(t))

@@ -4,7 +4,8 @@ Each test prints a single "criterion N PASS" line with its runtime; a
 missed budget or a wrong value fails the test, so the pytest -v listing
 doubles as the pass/fail sheet.  Expensive artifacts (the constructed
 family, the order-7 enumeration) are cached at module level because two
-criteria share them.
+criteria share them.  A last test pins the bytes of the construct and
+verify reports.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import math
 import random
 import time
 
+from trideg import cli
 from trideg.bounds import check_all
 from trideg.construction import base_g7, construct
 from trideg.graph6 import decode, encode
@@ -31,6 +33,14 @@ SEED_DEG = (6, 5, 5, 4, 4, 3, 3)
 SEED_CANONICAL = "FBnnw"
 # sha256 of the sorted-key JSON list of check_all reports over construct(7..200)
 BOUNDS_FAMILY_SHA256 = "fc01d1c0c77677f9c9c7bace870e004e13936c86c2c2770fac8c8302a40174cd"
+# sha256 of `trideg construct --n N --emit json` stdout, by N
+CONSTRUCT_JSON_SHA256 = {
+    7: "1078dca5783403e5f7468eae8840292b5feca41a9d2c2d5da52a5fd03773b496",
+    8: "e1e251317c47a248fede8dd418b6e89b2b954c88702129b4164b6c1fe116d59a",
+    200: "9860a41a186b3b66c076d92e6dd08d15dfe99f235272cba28c2f1335a9c9eb7f",
+}
+# sha256 of the file `trideg verify --json FILE` writes at default flags
+VERIFY_JSON_SHA256 = "1bf23ea7daccbbca3ac48a99c1d923484bcc19f5f1a400b25f99cbfe4d685f03"
 
 _cache = {}
 
@@ -221,3 +231,13 @@ def test_criterion_9_graph6_round_trip():
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _passed(9, elapsed, 5, "graph6 encode/decode identity on 2024 graphs")
+
+
+def test_report_bytes_are_pinned(capsys, tmp_path):
+    for n, digest in CONSTRUCT_JSON_SHA256.items():
+        assert cli.main(["construct", "--n", str(n), "--emit", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+    path = tmp_path / "verify.json"
+    assert cli.main(["verify", "--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_JSON_SHA256

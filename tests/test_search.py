@@ -12,6 +12,7 @@ import pytest
 import oracles
 import trideg.search as search
 from conftest import all_graphs, random_graphs, stop_after
+from trideg.bounds import NotTriangleDistinct, check_all
 from trideg.construction import CertificationError
 from trideg.graph6 import decode, encode
 from trideg.graphs import (
@@ -22,6 +23,7 @@ from trideg.graphs import (
     from_edges,
     graph_from_counter,
     pair_list,
+    triangle_degrees,
 )
 from trideg.search import (
     SearchInterrupted,
@@ -39,12 +41,29 @@ def report_text(rep):
     return json.dumps(rep.to_json_dict(), indent=2, sort_keys=True)
 
 
-def test_is_triangle_distinct_basics(g7):
+def test_is_triangle_distinct_basics(g7, family40):
     assert is_triangle_distinct(g7.graph)
-    assert not is_triangle_distinct(complete_graph(2))
-    assert not is_triangle_distinct(complete_graph(1))  # needs two vertices
-    assert not is_triangle_distinct(empty_graph(3))
-    assert not is_triangle_distinct(cycle_graph(4))
+    check_all(g7.graph)
+    search._class_key(g7.graph)
+    # construct(8) plus an isolated vertex: the new vertex and the pendant,
+    # the last two vertices, share triangle degree 0 and nothing else ties
+    last_two_tie = Graph(9, family40[8].graph.rows + (0,))
+    t = triangle_degrees(last_two_tie)
+    assert t[7] == t[8] and len(set(t)) == 8
+    for g in (
+        empty_graph(0),  # needs two vertices
+        complete_graph(1),
+        complete_graph(2),
+        empty_graph(2),
+        empty_graph(3),
+        cycle_graph(4),
+        last_two_tie,
+    ):
+        assert not is_triangle_distinct(g)
+        with pytest.raises(NotTriangleDistinct):
+            check_all(g)
+        with pytest.raises(CertificationError):
+            search._class_key(g)
 
 
 def test_enumerate_small_counts():
