@@ -40,7 +40,7 @@ wrong, and it must never be downgraded to a warning.
 """
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, attrgetter, ge, gt
 
 from .graphs import Graph, from_edges, triangle_degrees
 
@@ -184,8 +184,8 @@ def _certify(graph, tri, deg, labels=None) -> Certificate:
         m=m,
         tri_by_rank=tri,
         deg_by_rank=deg,
-        strict_tri_descent=all(a > b for a, b in zip(tri, tri[1:])),
-        weak_deg_descent=all(a >= b for a, b in zip(deg, deg[1:])),
+        strict_tri_descent=all(map(gt, tri, tri[1:])),
+        weak_deg_descent=all(map(ge, deg, deg[1:])),
         recomputed=labels is not None,
         incremental_match=match,
         **parity,
@@ -223,7 +223,7 @@ def extend_pendant(gc: ConstructedGraph) -> ConstructedGraph:
     labels = gc.labels + (new_v,)
     # A pendant closes no triangle and enlarges no neighborhood's edge set.
     tri = cert.tri_by_rank + (0,)
-    deg2 = tuple(d + 1 if r == k - 1 else d for r, d in enumerate(deg)) + (1,)
+    deg2 = deg[: k - 1] + (deg[k - 1] + 1,) + deg[k:] + (1,)
     new_cert = _certify(graph, tri, deg2)
     if not new_cert.passed:
         raise CertificationError("pendant step broke the rank invariants")
@@ -241,16 +241,14 @@ def extend_universal(gc: ConstructedGraph) -> ConstructedGraph:
         raise ValueError("refusing to extend a graph whose certificate failed")
     new_v = n
     bit = 1 << new_v
-    rows = [row | bit for row in gc.graph.rows]
+    rows = list(map(bit.__or__, gc.graph.rows))
     rows.append((1 << n) - 1)
     graph = Graph._trusted(n + 1, rows, gc.graph.m + n)
     labels = (new_v,) + gc.labels
     # Every old edge becomes a triangle over the new vertex; every old vertex
     # gains its old degree in triangles through the new neighbor.
-    tri = (gc.graph.m,) + tuple(
-        t + d for t, d in zip(cert.tri_by_rank, cert.deg_by_rank)
-    )
-    deg = (n,) + tuple(d + 1 for d in cert.deg_by_rank)
+    tri = (gc.graph.m,) + tuple(map(add, cert.tri_by_rank, cert.deg_by_rank))
+    deg = (n,) + tuple(map((1).__add__, cert.deg_by_rank))
     new_cert = _certify(graph, tri, deg)
     if not new_cert.passed:
         raise CertificationError("universal step broke the rank invariants")

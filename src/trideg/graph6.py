@@ -18,11 +18,18 @@ writes the shortest, so decode(encode(g)) == g, and encode(decode(s)) is s
 with its header made shortest.
 """
 
+from binascii import b2a_base64
+
 from .graphs import Graph
 
 _LOW = 63
 _HIGH = 126
 _MAX_ORDER = 68719476735  # 2**36 - 1, the largest order the header can carry
+# base64 packs 6-bit groups big-endian as graph6 does, into another alphabet
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(_LOW, _HIGH + 1)),
+)
 
 
 class Graph6Error(ValueError):
@@ -77,24 +84,16 @@ def _decode_order(data: bytes) -> tuple[int, int]:
 
 
 def encode(g: Graph) -> str:
-    """graph6 string of g under its current labeling."""
-    n = g.n
-    out = bytearray(_encode_order(n))
-    acc = 0
-    nbits = 0
+    """graph6 string of g under its current labeling.  Column j of the body
+    is bits 0..j-1 of row j, lowest first: the row's low j bits written in
+    binary, reversed.  The body is zero-padded to a multiple of 24 bits,
+    whole bytes and whole 6-bit groups, and packed by base64."""
     rows = g.rows
-    for j in range(1, n):
-        col = rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + _LOW)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + _LOW)
-    return out.decode("ascii")
+    bits = "".join([format(rows[j] & ((1 << j) - 1), "0%db" % j)[::-1] for j in range(1, g.n)])
+    groups = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    body = b2a_base64(int("0" + bits, 2).to_bytes(len(bits) // 8, "big"), newline=False)
+    return (_encode_order(g.n) + body[:groups].translate(_BASE64_TO_GRAPH6)).decode("ascii")
 
 
 def decode(text) -> Graph:

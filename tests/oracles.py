@@ -57,6 +57,22 @@ def triangle_list_slow(g):
     return out
 
 
+def graph6_encode_bitwise(g):
+    """graph6 string of g, its body packed one adjacency bit at a time."""
+    out = bytearray(graph6._encode_order(g.n))
+    acc = nbits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = (acc << 1) | ((g.rows[j] >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
 def complement_edge_set(g):
     every = {(i, j) for i in range(g.n) for j in range(i + 1, g.n)}
     return every - edge_set(g)

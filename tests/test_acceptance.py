@@ -4,8 +4,9 @@ Each test prints a single "criterion N PASS" line with its runtime; a
 missed budget or a wrong value fails the test, so the pytest -v listing
 doubles as the pass/fail sheet.  Expensive artifacts (the constructed
 family, the order-7 enumeration) are cached at module level because two
-criteria share them.  A last test pins the bytes of the construct and
-verify reports.
+criteria share them.  The last tests pin the bytes of every JSON report
+(construct, check, search, verify, compose), and check that writing the
+check report to a file costs no memory that grows with the report.
 """
 
 import hashlib
@@ -13,12 +14,14 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 from trideg import cli
 from trideg.bounds import check_all
 from trideg.construction import base_g7, construct
 from trideg.graph6 import decode, encode
 from trideg.graphs import (
+    cycle_graph,
     graph_from_counter,
     pair_list,
     random_graph,
@@ -41,6 +44,14 @@ CONSTRUCT_JSON_SHA256 = {
 }
 # sha256 of the file `trideg verify --json FILE` writes at default flags
 VERIFY_JSON_SHA256 = "1bf23ea7daccbbca3ac48a99c1d923484bcc19f5f1a400b25f99cbfe4d685f03"
+# sha256 of construct(7..200) in graph6, one line each, and of the file
+# `trideg check --in THAT --bounds all --json FILE` writes
+FAMILY_G6_SHA256 = "46ae67c13832492f82993960abf050db88bf60aeb05eac2db734d423d4cb5f54"
+CHECK_JSON_SHA256 = "0cae759742621b7dba553de8e55c6f6c322697e97de8a6803ef59622c9c465c1"
+# sha256 of `trideg search --n 8 --workers 1 --automorphisms --quiet` stdout
+SEARCH_8_SHA256 = "5db99b78e7a7213cf0a32853e9c884926a23daf0af2d00606ebc4b18a3ab63a1"
+# sha256 of the file `trideg compose --json FILE` writes for the seed graph and C4
+COMPOSE_JSON_SHA256 = "fd2e3cdcb07a0be45d12692f3e81647af8bcf71ad4f1f17aad1f06e7cd97c263"
 
 _cache = {}
 
@@ -233,11 +244,78 @@ def test_criterion_9_graph6_round_trip():
     _passed(9, elapsed, 5, "graph6 encode/decode identity on 2024 graphs")
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _family_file(tmp_path):
+    path = tmp_path / "family.g6"
+    path.write_text("".join(encode(gc.graph) + "\n" for gc in family().values()))
+    assert _sha256(path.read_bytes()) == FAMILY_G6_SHA256
+    return str(path)
+
+
 def test_report_bytes_are_pinned(capsys, tmp_path):
     for n, digest in CONSTRUCT_JSON_SHA256.items():
         assert cli.main(["construct", "--n", str(n), "--emit", "json"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
+        assert _sha256(out.encode()) == digest, n
     path = tmp_path / "verify.json"
     assert cli.main(["verify", "--json", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_JSON_SHA256
+    assert _sha256(path.read_bytes()) == VERIFY_JSON_SHA256
+
+    path = tmp_path / "check.json"
+    argv = ["check", "--in", _family_file(tmp_path), "--bounds", "all", "--json", str(path)]
+    assert cli.main(argv) == 0
+    assert _sha256(path.read_bytes()) == CHECK_JSON_SHA256
+
+    g, h = tmp_path / "g.g6", tmp_path / "h.g6"
+    g.write_text(encode(base_g7().graph) + "\n")
+    h.write_text(encode(cycle_graph(4)) + "\n")
+    path = tmp_path / "compose.json"
+    assert cli.main(["compose", "--g", str(g), "--h", str(h), "--json", str(path)]) == 0
+    assert _sha256(path.read_bytes()) == COMPOSE_JSON_SHA256
+
+
+def test_report_file_and_stdout_bytes_agree(capsys, tmp_path):
+    """search and verify write the same report to a --json file as to
+    stdout; verify's stdout then ends in its one summary line."""
+    argv = ["search", "--n", "8", "--workers", "1", "--automorphisms", "--quiet"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert _sha256(text.encode()) == SEARCH_8_SHA256
+    path = tmp_path / "search.json"
+    assert cli.main(argv + ["--json", str(path)]) == 0
+    assert path.read_text() == text
+    capsys.readouterr()
+
+    assert cli.main(["verify"]) == 0
+    text = capsys.readouterr().out
+    path = tmp_path / "verify.json"
+    assert cli.main(["verify", "--json", str(path)]) == 0
+    report = path.read_text()
+    assert text.startswith(report)
+    assert text[len(report) :] == capsys.readouterr().out
+    assert text[len(report) :].startswith("checked ")
+
+
+def test_check_json_file_costs_no_report_sized_memory(capsys, tmp_path, monkeypatch):
+    """The --json file is streamed: writing it raises tracemalloc's peak by
+    less than 1 MB over the same check without it (the report is 3.6 MB).
+    The graphs are decoded and their bounds reports computed before tracing
+    starts: traced, the per-bit decoder alone takes 12 s."""
+    src = _family_file(tmp_path)
+    graphs = {encode(gc.graph): gc.graph for gc in family().values()}
+    reports = {gc.n: check_all(gc.graph) for gc in family().values()}
+    monkeypatch.setattr(cli.graph6, "decode", graphs.__getitem__)
+    monkeypatch.setattr(cli.bounds_mod, "check_all", lambda g, names: reports[g.n])
+    peaks = []
+    for extra in ([], ["--json", str(tmp_path / "check.json")]):
+        tracemalloc.start()
+        try:
+            assert cli.main(["check", "--in", src, "--bounds", "all"] + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks

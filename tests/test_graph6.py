@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from conftest import all_graphs
+from trideg.construction import construct
 from trideg.graph6 import (
     Graph6CharError,
     Graph6Error,
@@ -26,6 +27,15 @@ def test_known_strings():
     assert decode("Bw") == complete_graph(3)
     assert encode(complete_graph(2)) == "A_"
     assert decode("A?") == empty_graph(2)
+
+
+def test_encode_matches_bitwise_oracle():
+    rng = random.Random(41)
+    # orders 62 and 63 drawn again: the header grows from one byte to four at 63
+    graphs = [random_graph(rng, n, p) for n in list(range(81)) + [62, 63] for p in (0, 0.3, 0.7, 1)]
+    graphs += [construct(200).graph, construct(2000).graph]
+    for g in graphs:
+        assert encode(g) == oracles.graph6_encode_bitwise(g), g.n
 
 
 def test_roundtrip_all_order5():
